@@ -4,7 +4,8 @@ Each verb builds the requested models or systems, runs the corresponding
 library checks, and emits a report either as human-readable text or as a
 single JSON record {command, params, results, timings} with sorted keys.
 Exit codes: 0 all checks pass / value printed, 1 a check failed or a
-counterexample was found, 2 usage or configuration error.
+counterexample was found, 2 usage, configuration or resource error, such
+as input nested too deeply.
 """
 from __future__ import annotations
 
@@ -170,14 +171,11 @@ def _cmd_tower(args):
 
 def _quantifier_trace(m, f, assignment):
     """Top-level chain of quantifier witnesses/counterexamples explaining
-    the truth value."""
+    the truth value.  The scan of each level's range decides on its own:
+    E has a witness iff it holds, A a counterexample iff it fails."""
     steps = []
     cur = f
     while isinstance(cur, (Forall, Exists)):
-        val = eval_formula(m, cur, dict(assignment))
-        want = not val if isinstance(cur, Forall) else val
-        if not want:
-            break
         found = None
         for x in _quantifier_range(m, cur.bound, dict(assignment)):
             inner = eval_formula(m, cur.body, {**assignment, cur.var: x})
@@ -343,6 +341,9 @@ def main(argv=None, out=None):
         code, results = _HANDLERS[args.command](args)
     except (FinarithError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
     report = {
         "command": args.command,

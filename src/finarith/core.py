@@ -262,6 +262,26 @@ def _sample_elements(m, count, rng):
     return [m.element(v) for v in sorted(vals)]
 
 
+def sampled_induction_fails(m, phi, v, elements):
+    """One-sided verdict on the induction instance of phi in v from sampled
+    elements: it fails iff phi(0) holds, every sampled step phi(a) ->
+    phi(a + 1) holds, and some sampled element falsifies phi.  A pass is
+    evidence, not a proof."""
+    from .logic import eval_formula
+
+    if m.zero is None or not eval_formula(m, phi, {v: m.zero}):
+        return False
+    concl_ok = True
+    for a in elements:
+        if not eval_formula(m, phi, {v: a}):
+            concl_ok = False
+            continue
+        s = m.succ(a)
+        if s is not None and not eval_formula(m, phi, {v: s}):
+            return False
+    return not concl_ok
+
+
 def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     """Check the FA axiom groups on a structure presented as an FA model.
 
@@ -391,18 +411,7 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
             if not eval_formula(m, inst, {}):
                 fails.append(f"induction instance fails for {phi}")
             continue
-        # Sampled verdict mirroring the instance's implication shape.
-        base = eval_formula(m, phi, {v: m.zero}) if m.zero is not None else False
-        step_ok = True
-        concl_ok = True
-        for a in elements:
-            if not eval_formula(m, phi, {v: a}):
-                concl_ok = False
-            if a != top:
-                s = m.succ(a)
-                if s is not None and eval_formula(m, phi, {v: a}) and not eval_formula(m, phi, {v: s}):
-                    step_ok = False
-        if base and step_ok and not concl_ok:
+        if sampled_induction_fails(m, phi, v, elements):
             fails.append(f"induction instance fails for {phi}")
     groups["induction"] = GroupResult("induction", not fails, mode, fails)
 

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .core import PartialStructure, largest_square_base
+from .core import PartialStructure, largest_square_base, sampled_induction_fails
 from .errors import AdmissibilityError, DomainError, EvalError
 
 
@@ -505,37 +505,20 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
 
 
 def verify_induction_lex(m_plus, phi):
-    """Digitwise minimization, most significant digit first: returns the
-    lexically least string falsifying phi, or None when phi holds
-    everywhere.  Performs one ground-level minimization per digit."""
+    """The lexically least string falsifying phi, or None when phi holds
+    everywhere: one scan of m_plus in its iteration order, which is
+    lexical (most significant digit first), stopping at the first
+    falsifier."""
     from .logic import eval_formula, free_variables
 
     fv = sorted(free_variables(phi))
     if len(fv) != 1:
         raise EvalError(f"formula must have exactly one free variable, got {fv}")
     v = fv[0]
-    b, k = m_plus.arith.base_value, m_plus.params.width
-
-    def exists_counterexample(prefix):
-        for suffix in itertools.product(range(b), repeat=k - len(prefix)):
-            s = DigitString(m_plus, prefix + suffix)
-            if not eval_formula(m_plus, phi, {v: s}):
-                return True
-        return False
-
-    prefix = ()
-    for _pos in range(k):
-        found = None
-        for d in range(b):
-            if exists_counterexample(prefix + (d,)):
-                found = d
-                break
-        if found is None:
-            if not prefix:
-                return None
-            raise AssertionError("minimization lost a counterexample")
-        prefix = prefix + (found,)
-    return DigitString(m_plus, prefix)
+    for s in m_plus:
+        if not eval_formula(m_plus, phi, {v: s}):
+            return s
+    return None
 
 
 # --- towers ---
@@ -659,22 +642,9 @@ def check_bounded_induction(tower, corpus, budget=4096, seed=0):
 
 
 def _sampled_induction(stage, phi, v, rng, samples=48):
-    from .logic import eval_formula
-
     size = stage.size()
     vals = sorted({0, size - 1, *(rng.randrange(size) for _ in range(samples))})
-    elems = [stage.element(x) for x in vals]
-    base = eval_formula(stage, phi, {v: stage.zero})
-    step_ok = True
-    concl_ok = True
-    for a in elems:
-        holds = eval_formula(stage, phi, {v: a})
-        if not holds:
-            concl_ok = False
-        s = stage.succ(a)
-        if s is not None and holds and not eval_formula(stage, phi, {v: s}):
-            step_ok = False
-    return (not base) or (not step_ok) or concl_ok
+    return not sampled_induction_fails(stage, phi, v, [stage.element(x) for x in vals])
 
 
 def _outer_bounds_defined(stage, phi):

@@ -627,8 +627,16 @@ def eval_formula(m, f, assignment=None):
     triple to hold.  A bounded quantifier with an undefined bound has a
     vacuous range (A true, E false).  Modal nodes are rejected.
     """
-    if assignment is None:
-        assignment = {}
+    return _eval(m, f, {} if assignment is None else assignment, None)
+
+
+def _eval(m, f, assignment, modal):
+    """The one recursion over atoms, connectives and quantifiers in m.
+
+    ``modal(f, assignment)`` decides a dia/box node f; Kripke evaluation
+    passes one bound to the current world.  With modal None, as in
+    eval_formula, modal nodes raise WrongEvaluatorError.
+    """
     match f:
         case Eq(l, r):
             a = eval_term(m, l, assignment)
@@ -655,19 +663,19 @@ def eval_formula(m, f, assignment=None):
             c = eval_term(m, tc, assignment)
             return a is not None and b is not None and c is not None and m.times(a, b) == c
         case Not(body):
-            return not eval_formula(m, body, assignment)
+            return not _eval(m, body, assignment, modal)
         case And(l, r):
-            return eval_formula(m, l, assignment) and eval_formula(m, r, assignment)
+            return _eval(m, l, assignment, modal) and _eval(m, r, assignment, modal)
         case Or(l, r):
-            return eval_formula(m, l, assignment) or eval_formula(m, r, assignment)
+            return _eval(m, l, assignment, modal) or _eval(m, r, assignment, modal)
         case Implies(l, r):
-            return (not eval_formula(m, l, assignment)) or eval_formula(m, r, assignment)
+            return (not _eval(m, l, assignment, modal)) or _eval(m, r, assignment, modal)
         case Forall(v, bound, body):
             saved = assignment.get(v, _MISSING)
             try:
                 for x in _quantifier_range(m, bound, assignment):
                     assignment[v] = x
-                    if not eval_formula(m, body, assignment):
+                    if not _eval(m, body, assignment, modal):
                         return False
                 return True
             finally:
@@ -680,7 +688,7 @@ def eval_formula(m, f, assignment=None):
             try:
                 for x in _quantifier_range(m, bound, assignment):
                     assignment[v] = x
-                    if eval_formula(m, body, assignment):
+                    if _eval(m, body, assignment, modal):
                         return True
                 return False
             finally:
@@ -689,9 +697,11 @@ def eval_formula(m, f, assignment=None):
                 else:
                     assignment[v] = saved
         case Possibly(_) | Necessarily(_):
-            raise WrongEvaluatorError(
-                "modal operator in first-order evaluation; use finarith.modal.eval_modal"
-            )
+            if modal is None:
+                raise WrongEvaluatorError(
+                    "modal operator in first-order evaluation; use finarith.modal.eval_modal"
+                )
+            return modal(f, assignment)
     raise TypeError(f"not a formula: {f!r}")
 
 

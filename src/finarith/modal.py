@@ -5,19 +5,22 @@ transitive accessibility relation along which domains and operation graphs
 grow.  dia phi holds at a world when phi holds at some accessible world;
 box phi when it holds at all of them.  Quantifiers range over the current
 world; individuals are rigid, so a witness found here still exists in every
-larger world.
+larger world.  Everything but dia/box is evaluated by the first-order
+recursion of ``logic``; each system's evaluator memoizes the bodies of
+dia/box nodes per world.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 from .core import SubsetWorld, Truncation
 from .errors import DomainError, EvalError
 from .logic import (
     And, Const0, Const1, Defined, Eq, Exists, Forall, Implies, Lt,
-    Necessarily, Not, Or, Possibly, _quantifier_range, eval_formula,
-    free_variables, is_first_order, print_formula,
+    Necessarily, Not, Or, Possibly, _eval, eval_formula, free_variables,
+    is_first_order, print_formula,
 )
 
 
@@ -198,22 +201,18 @@ def load_system(worlds, ids, access_pairs, limit=None, annotations=None):
 # --- evaluation ---
 
 class ModalEvaluator:
-    """Kripke evaluation over a fixed system, memoized by (subformula,
-    world, restriction of the assignment to the subformula's free
-    variables)."""
+    """Kripke evaluation over a fixed system.
+
+    Atoms, connectives and quantifiers run through the first-order
+    recursion of ``logic`` at the current world; this class decides only
+    dia/box.  For each dia/box node it memoizes the truth of the node's
+    body at each accessible world, keyed by (body, world, restriction of
+    the assignment to the body's free variables)."""
 
     def __init__(self, sys):
         self.sys = sys
         self._memo = {}
-        self._fo = {}
         self._fv = {}
-
-    def _first_order(self, f):
-        r = self._fo.get(f)
-        if r is None:
-            r = is_first_order(f)
-            self._fo[f] = r
-        return r
 
     def _free(self, f):
         r = self._fv.get(f)
@@ -228,47 +227,21 @@ class ModalEvaluator:
         for v in self._free(f):
             if v not in a:
                 raise EvalError(f"unassigned variable {v!r}")
-        return self._eval(i, f, a)
+        return _eval(self.sys.worlds[i], f, a, partial(self._modal, i))
 
-    def _eval(self, i, f, assignment):
-        if self._first_order(f):
-            return eval_formula(self.sys.worlds[i], f, dict(assignment))
-        key = (f, i, tuple((v, assignment[v]) for v in self._free(f)))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        match f:
-            case Possibly(body):
-                out = any(self._eval(j, body, assignment) for j in self.sys.access[i])
-            case Necessarily(body):
-                out = all(self._eval(j, body, assignment) for j in self.sys.access[i])
-            case Not(body):
-                out = not self._eval(i, body, assignment)
-            case And(l, r):
-                out = self._eval(i, l, assignment) and self._eval(i, r, assignment)
-            case Or(l, r):
-                out = self._eval(i, l, assignment) or self._eval(i, r, assignment)
-            case Implies(l, r):
-                out = (not self._eval(i, l, assignment)) or self._eval(i, r, assignment)
-            case Forall(v, bound, body):
-                world = self.sys.worlds[i]
-                out = True
-                for x in _quantifier_range(world, bound, dict(assignment)):
-                    if not self._eval(i, body, {**assignment, v: x}):
-                        out = False
-                        break
-            case Exists(v, bound, body):
-                world = self.sys.worlds[i]
-                out = False
-                for x in _quantifier_range(world, bound, dict(assignment)):
-                    if self._eval(i, body, {**assignment, v: x}):
-                        out = True
-                        break
-            case _:
-                # Atoms are first-order and never reach this point.
-                raise TypeError(f"not a formula: {f!r}")
-        self._memo[key] = out
-        return out
+    def _modal(self, i, f, assignment):
+        body = f.body
+        vals = tuple(assignment[v] for v in self._free(body))
+        want = isinstance(f, Possibly)  # dia stops at a true body, box at a false one
+        for j in self.sys.access[i]:
+            key = (body, j, vals)
+            hit = self._memo.get(key)
+            if hit is None:
+                world = self.sys.worlds[j]
+                hit = self._memo[key] = _eval(world, body, assignment, partial(self._modal, j))
+            if hit == want:
+                return want
+        return not want
 
 
 def eval_modal(sys, world, f, assignment=None):

@@ -79,6 +79,19 @@ class TestExitCodes:
         code, _ = run(["modal-eval", "--aristotelian", "3", "--world", "9", "0 = 0"])
         assert code == 2
 
+    def test_deeply_nested_negation_is_two(self):
+        code, _ = run(["eval", "--trunc", "3", "!" * 3000 + "0 = 0"])
+        assert code == 2
+
+    def test_deeply_nested_modality_is_two(self):
+        code, _ = run(["modal-eval", "--aristotelian", "3", "--world", "1",
+                       "dia " * 3000 + "0 = 0"])
+        assert code == 2
+
+    def test_deeply_parenthesized_translate_is_two(self):
+        code, _ = run(["translate", "(" * 3000 + "0 = 0" + ")" * 3000])
+        assert code == 2
+
 
 class TestReportContent:
     def test_eval_counterexample_trace(self):
