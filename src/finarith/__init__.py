@@ -8,8 +8,7 @@ with frame classification.
 
 from .core import (
     AxiomReport, PartialStructure, SubsetWorld, Truncation, check_fa_axioms,
-    largest_square_base, make_subset_world, make_truncation, partial_plus,
-    partial_times, successor,
+    largest_square_base, make_subset_world, make_truncation,
 )
 from .errors import (
     AdmissibilityError, DomainError, EvalError, FinarithError, ParseError,
@@ -17,9 +16,8 @@ from .errors import (
 )
 from .interp import (
     DigitString, InterpParams, InterpretedModel, Tower, build_plus_model,
-    build_tower, check_bounded_induction, digit_less, digit_plus, digit_succ,
-    digit_times, embed_initial, limit_eval, verify_biinterpretation,
-    verify_induction_lex,
+    build_tower, check_bounded_induction, embed_initial, limit_eval,
+    verify_biinterpretation, verify_induction_lex,
 )
 from .logic import (
     eval_formula, eval_term, free_variables, induction_instance, is_delta0,

@@ -17,14 +17,14 @@ import time
 from . import corpus as corpus_mod
 from .core import check_fa_axioms, largest_square_base, make_subset_world, make_truncation
 from .errors import FinarithError
-from .interp import build_plus_model, build_tower, limit_eval, verify_biinterpretation
+from .interp import build_plus_model, build_tower, verify_biinterpretation
 from .logic import (
     Exists, Forall, Possibly, _quantifier_range, eval_formula, free_variables,
     parse_formula, print_formula,
 )
 from .modal import (
     aristotelian_system, arbitrary_set_system, check_schema,
-    check_translation_theorem, eval_modal, frame_properties, fork_system,
+    check_translation_theorem, frame_properties, fork_system,
     potentialist_translation, schema_by_name, search_dot3_counterexample,
 )
 
@@ -214,14 +214,10 @@ def _cmd_modal_eval(args):
     f = parse_formula(args.formula)
     if free_variables(f):
         raise FinarithError(f"formula has free variables: {sorted(free_variables(f))}")
-    value = eval_modal(sys_, args.world, f)
+    value, decider = sys_.evaluator().decide(args.world, f)
     result = {"formula": print_formula(f), "world": args.world, "value": value, **spec}
     if value and isinstance(f, Possibly):
-        i = sys_.resolve(args.world)
-        for j in sorted(sys_.access[i]):
-            if eval_modal(sys_, j, f.body):
-                result["witness_world"] = sys_.ids[j]
-                break
+        result["witness_world"] = sys_.ids[decider]
     return 0, [result]
 
 

@@ -11,11 +11,12 @@ never touches a quantity as large as b*b.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 
-from .core import PartialStructure, largest_square_base, sampled_induction_fails
+from .core import (
+    PartialStructure, largest_square_base, sample_elements, sampled_induction_fails,
+)
 from .errors import AdmissibilityError, DomainError, EvalError
 
 
@@ -311,34 +312,6 @@ class InterpretedModel(PartialStructure):
         return f"InterpretedModel(base={self.arith.base_value}, width={self.params.width})"
 
 
-# --- module-level digit operations (spec surface) ---
-
-def _require_same(s, t):
-    if not isinstance(s, DigitString) or not isinstance(t, DigitString):
-        raise DomainError("digit-string operation on non-digit-string")
-    if s.model is not t.model:
-        raise DomainError("digit strings come from different parameterizations")
-
-
-def digit_less(s, t):
-    _require_same(s, t)
-    return s.model.less(s, t)
-
-
-def digit_succ(s):
-    return s.model.succ(s)
-
-
-def digit_plus(s, t):
-    _require_same(s, t)
-    return s.model.plus(s, t)
-
-
-def digit_times(s, t):
-    _require_same(s, t)
-    return s.model.times(s, t)
-
-
 # --- model construction ---
 
 def minimal_admissible_width(base_value, top_value):
@@ -368,30 +341,20 @@ def build_plus_model(m, width=5, base=None):
     return InterpretedModel(m, InterpParams(base, bv, width))
 
 
-class Embedding:
-    """An initial-segment embedding of a ground model into its lifted model."""
-
-    def __init__(self, ground, target, func):
-        self.ground = ground
-        self.target = target
-        self._func = func
-
-    def __call__(self, x):
-        if x not in self.ground:
-            raise DomainError(f"{x!r} is not in the embedded model")
-        return self._func(x)
-
-
 def embed_initial(m, m_plus):
-    """x below b*b maps to the two-digit string (x div b, x mod b); the at
-    most 2b elements above get a 1 in the third-lowest digit.  Order- and
-    operation-preserving with downward-closed image."""
+    """The initial-segment embedding of m into m_plus, as a function that
+    raises DomainError for an argument outside m.  x below b*b maps to the
+    two-digit string (x div b, x mod b); the at most 2b elements above get
+    a 1 in the third-lowest digit.  Value-, order- and operation-preserving
+    with downward-closed image."""
     if m_plus.ground is not m:
         raise DomainError("lifted model was not built from this ground model")
     bv = m_plus.arith.base_value
     k = m_plus.params.width
 
-    def func(x):
+    def embed(x):
+        if x not in m:
+            raise DomainError(f"{x!r} is not in the embedded model")
         v = m.valuation(x)
         if v < bv * bv:
             c, (d, e) = 0, divmod(v, bv)
@@ -400,7 +363,7 @@ def embed_initial(m, m_plus):
         idx = (0,) * (k - 3) + (c, d, e)
         return DigitString(m_plus, idx)
 
-    return Embedding(m, m_plus, func)
+    return embed
 
 
 # --- verification ---
@@ -424,9 +387,7 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
     failures = []
     top = m.valuation(m.order_max())
 
-    ground_elems = list(m) if m.size() * m.size() <= budget else [
-        m.element(v) for v in sorted({0, top, *(rng.randrange(top + 1) for _ in range(256))})
-    ]
+    ground_elems = list(m) if m.size() * m.size() <= budget else sample_elements(m, 258, rng)
     images = {m.valuation(x): e(x) for x in ground_elems}
 
     ok = True
@@ -460,11 +421,7 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
     # (ii) each lifted element is rebuilt, inside the lifted model, from its
     # digit images and the image of b: fold acc -> acc * e(b) + e(digit).
     eb = e(m_plus.params.base)
-    if m_plus.size() <= 4096:
-        strings = list(m_plus)
-    else:
-        strings = [m_plus.element(rng.randrange(m_plus.size())) for _ in range(256)]
-        strings += [m_plus.zero, m_plus.largest]
+    strings = list(m_plus) if m_plus.size() <= 4096 else sample_elements(m_plus, 258, rng)
     ok = True
     for s in strings:
         acc = e(m.zero)
@@ -525,30 +482,22 @@ def verify_induction_lex(m_plus, phi):
 
 @dataclass
 class Tower:
-    stages: list
-    embeddings: list  # embeddings[i] maps stage i into stage i+1
-    heights: list
+    """The stages T0, T1, ... built by build_tower, and the numeric value
+    of each stage's largest element.  embed_initial preserves values, so
+    the copy of a T0 element at stage i is stages[i].element(its value)."""
 
-    def to_stage(self, x, i):
-        """Carry a stage-0 element to its copy at stage i."""
-        for e in self.embeddings[:i]:
-            x = e(x)
-        return x
+    stages: list
+    heights: list
 
 
 def build_tower(m, stage_count, width=5):
     """Iterate the lifting: stages m = T0, T1, ..., with each stage the
-    digit-string model over the previous and initial-segment embeddings
-    composing ground elements upward."""
+    digit-string model over the previous one."""
     stages = [m]
-    embeddings = []
     for _ in range(stage_count):
-        cur = stages[-1]
-        nxt = build_plus_model(cur, width=width)
-        embeddings.append(embed_initial(cur, nxt))
-        stages.append(nxt)
+        stages.append(build_plus_model(stages[-1], width=width))
     heights = [s.valuation(s.order_max()) for s in stages]
-    return Tower(stages=stages, embeddings=embeddings, heights=heights)
+    return Tower(stages=stages, heights=heights)
 
 
 @dataclass
@@ -563,9 +512,13 @@ def limit_eval(tower, op, x, y):
     is defined."""
     if op not in ("plus", "times"):
         raise EvalError(f"unknown operation {op!r}")
+    # Stage 0 gets the operands themselves, so its domain check rejects
+    # foreign ones; higher stages get the copies of their values.
+    ground = tower.stages[0]
+    xi, yi = x, y
     for i, stage in enumerate(tower.stages):
-        xi = tower.to_stage(x, i)
-        yi = tower.to_stage(y, i)
+        if i:
+            xi, yi = stage.element(ground.valuation(x)), stage.element(ground.valuation(y))
         r = stage.plus(xi, yi) if op == "plus" else stage.times(xi, yi)
         if r is not None:
             return LimitValue(value=stage.valuation(r), stage=i, element=r)
@@ -585,10 +538,8 @@ class BoundedInductionReport:
 def check_bounded_induction(tower, corpus, budget=4096, seed=0):
     """Induction instances of bounded formulas at every stage, plus truth
     agreement of closed bounded sentences between consecutive stages."""
-    from .core import check_fa_axioms
     from .logic import (
-        eval_formula, eval_term, free_variables, induction_instance, is_delta0,
-        print_formula,
+        eval_formula, free_variables, induction_instance, is_delta0, print_formula,
     )
 
     induction = []
@@ -609,7 +560,9 @@ def check_bounded_induction(tower, corpus, budget=4096, seed=0):
                 if stage.size() <= budget:
                     ok = eval_formula(stage, induction_instance(phi, v), {})
                 else:
-                    ok = _sampled_induction(stage, phi, v, rng)
+                    ok = not sampled_induction_fails(
+                        stage, phi, v, sample_elements(stage, 50, rng)
+                    )
                 induction.append((i, text, ok))
                 if not ok:
                     failures.append(f"induction instance of {text} fails at stage {i}")
@@ -639,12 +592,6 @@ def check_bounded_induction(tower, corpus, budget=4096, seed=0):
         absoluteness=absoluteness,
         failures=failures,
     )
-
-
-def _sampled_induction(stage, phi, v, rng, samples=48):
-    size = stage.size()
-    vals = sorted({0, size - 1, *(rng.randrange(size) for _ in range(samples))})
-    return not sampled_induction_fails(stage, phi, v, [stage.element(x) for x in vals])
 
 
 def _outer_bounds_defined(stage, phi):

@@ -496,19 +496,22 @@ class _Parser:
 
 
 def parse_formula(text):
-    p = _Parser(text)
-    f = p.formula()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input {p.peek()!r}", p.pos())
-    return f
+    return _parse(text, _Parser.formula)
 
 
 def parse_term(text):
+    return _parse(text, _Parser.term)
+
+
+def _parse(text, rule):
     p = _Parser(text)
-    t = p.term()
+    try:
+        out = rule(p)
+    except RecursionError as exc:
+        raise ParseError("input is nested too deeply", p.pos()) from exc
     if p.peek() is not None:
         raise ParseError(f"trailing input {p.peek()!r}", p.pos())
-    return t
+    return out
 
 
 # --- Printer ---
@@ -627,7 +630,10 @@ def eval_formula(m, f, assignment=None):
     triple to hold.  A bounded quantifier with an undefined bound has a
     vacuous range (A true, E false).  Modal nodes are rejected.
     """
-    return _eval(m, f, {} if assignment is None else assignment, None)
+    try:
+        return _eval(m, f, {} if assignment is None else assignment, None)
+    except RecursionError as exc:
+        raise EvalError("formula is nested too deeply") from exc
 
 
 def _eval(m, f, assignment, modal):

@@ -12,7 +12,7 @@ dia/box nodes per world.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .core import SubsetWorld, Truncation
@@ -32,7 +32,7 @@ class PotentialistSystem:
     index or by their string id.
     """
 
-    def __init__(self, worlds, ids, access, limit=None, annotations=None, validate=True):
+    def __init__(self, worlds, ids, access, limit=None, validate=True):
         if len(worlds) != len(ids):
             raise ValueError("one id per world required")
         self.worlds = list(worlds)
@@ -42,7 +42,6 @@ class PotentialistSystem:
             raise ValueError("world ids must be distinct")
         self.access = [frozenset(s) for s in access]
         self.limit = limit
-        self.annotations = dict(annotations or {})
         if validate:
             self.validate()
         self._evaluator = None
@@ -139,7 +138,6 @@ def aristotelian_system(h):
     access = [frozenset(range(i, h)) for i in range(h)]
     return PotentialistSystem(
         worlds, ids, access, limit=Truncation(h),
-        annotations={"kind": "aristotelian", "height": h},
         validate=False,  # guaranteed by construction
     )
 
@@ -148,16 +146,20 @@ def _subset_id(elems):
     return "empty" if not elems else ",".join(str(x) for x in elems)
 
 
-def arbitrary_set_system(h, world_budget=4096):
+# Largest number of worlds arbitrary_set_system builds (heights up to 11).
+_WORLD_BUDGET = 4096
+
+
+def arbitrary_set_system(h):
     """Arbitrary-set potentialism: one world per subset of {0, ..., h},
     ordered by inclusion, converging to the truncation at h.  The empty
     world is included; its id is "empty"."""
     if h < 0:
         raise ValueError("height must be at least 0")
     count = 1 << (h + 1)
-    if count > world_budget:
+    if count > _WORLD_BUDGET:
         raise DomainError(
-            f"{count} worlds exceed the configured budget of {world_budget}"
+            f"{count} worlds exceed the budget of {_WORLD_BUDGET}"
         )
     subsets = []
     for mask in range(count):
@@ -171,7 +173,6 @@ def arbitrary_set_system(h, world_budget=4096):
     ]
     return PotentialistSystem(
         worlds, ids, access, limit=Truncation(h) if h >= 1 else SubsetWorld(range(h + 1)),
-        annotations={"kind": "arbitrary_set", "height": h, "empty_world": "empty"},
         validate=False,
     )
 
@@ -183,19 +184,17 @@ def fork_system():
     worlds = [SubsetWorld({0}), SubsetWorld({0, 1}), SubsetWorld({0, 2})]
     ids = ["root", "left", "right"]
     pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)]
-    return load_system(worlds, ids, pairs, annotations={"kind": "fork"})
+    return load_system(worlds, ids, pairs)
 
 
-def load_system(worlds, ids, access_pairs, limit=None, annotations=None):
+def load_system(worlds, ids, access_pairs, limit=None):
     """Build a system from an explicit edge list; the preorder, extension,
     and (when a limit is given) convergence conditions are validated."""
     n = len(worlds)
     access = [set() for _ in range(n)]
     for i, j in access_pairs:
         access[i].add(j)
-    return PotentialistSystem(
-        worlds, ids, access, limit=limit, annotations=annotations, validate=True
-    )
+    return PotentialistSystem(worlds, ids, access, limit=limit, validate=True)
 
 
 # --- evaluation ---
@@ -205,14 +204,16 @@ class ModalEvaluator:
 
     Atoms, connectives and quantifiers run through the first-order
     recursion of ``logic`` at the current world; this class decides only
-    dia/box.  For each dia/box node it memoizes the truth of the node's
-    body at each accessible world, keyed by (body, world, restriction of
-    the assignment to the body's free variables)."""
+    dia/box, scanning the accessible worlds in index order.  For each
+    dia/box node it memoizes the truth of the node's body at each
+    accessible world, keyed by (body, world, restriction of the assignment
+    to the body's free variables)."""
 
     def __init__(self, sys):
         self.sys = sys
         self._memo = {}
         self._fv = {}
+        self._access = [tuple(sorted(s)) for s in sys.access]
 
     def _free(self, f):
         r = self._fv.get(f)
@@ -222,26 +223,41 @@ class ModalEvaluator:
         return r
 
     def eval(self, world, f, assignment=None):
+        return self.decide(world, f, assignment)[0]
+
+    def decide(self, world, f, assignment=None):
+        """(truth of f at world, deciding world).  For a dia/box f the
+        deciding world is the index of the first accessible world where the
+        body holds (dia) or fails (box); otherwise, and when no such world
+        exists, it is None."""
         i = self.sys.resolve(world)
         a = dict(assignment) if assignment else {}
-        for v in self._free(f):
-            if v not in a:
-                raise EvalError(f"unassigned variable {v!r}")
-        return _eval(self.sys.worlds[i], f, a, partial(self._modal, i))
+        try:
+            for v in self._free(f):
+                if v not in a:
+                    raise EvalError(f"unassigned variable {v!r}")
+            if isinstance(f, (Possibly, Necessarily)):
+                return self._scan(i, f, a)
+            return _eval(self.sys.worlds[i], f, a, partial(self._modal, i)), None
+        except RecursionError as exc:
+            raise EvalError("formula is nested too deeply") from exc
 
     def _modal(self, i, f, assignment):
+        return self._scan(i, f, assignment)[0]
+
+    def _scan(self, i, f, assignment):
         body = f.body
         vals = tuple(assignment[v] for v in self._free(body))
         want = isinstance(f, Possibly)  # dia stops at a true body, box at a false one
-        for j in self.sys.access[i]:
+        for j in self._access[i]:
             key = (body, j, vals)
             hit = self._memo.get(key)
             if hit is None:
                 world = self.sys.worlds[j]
                 hit = self._memo[key] = _eval(world, body, assignment, partial(self._modal, j))
             if hit == want:
-                return want
-        return not want
+                return want, j
+        return not want, None
 
 
 def eval_modal(sys, world, f, assignment=None):
@@ -458,8 +474,8 @@ def check_schema(sys, schema, instances):
 
 # --- counterexample search ---
 
-def _generated_formulas(max_depth=3):
-    """Deterministic closed-formula pool over the constants, by depth."""
+def _generated_formulas():
+    """Deterministic closed-formula pool over the constants."""
     atoms = [
         Defined(Const0()),
         Defined(Const1()),
@@ -467,11 +483,7 @@ def _generated_formulas(max_depth=3):
         Eq(Const0(), Const0()),
         Eq(Const1(), Const1()),
     ]
-    if max_depth <= 1:
-        return list(atoms)
     level2 = atoms + [Not(a) for a in atoms]
-    if max_depth <= 2:
-        return level2
     out = list(level2)
     for a, b in itertools.permutations(level2, 2):
         out.append(And(a, b))
@@ -480,12 +492,14 @@ def _generated_formulas(max_depth=3):
     return out
 
 
-def search_dot3_counterexample(sys, generator_budget=5000, max_depth=3):
-    """Enumerate small instance pairs and return the first (world, phi, psi)
-    falsifying the Dot3 schema, or None when the budget is exhausted."""
+def search_dot3_counterexample(sys, generator_budget=5000):
+    """Return the first (world, phi, psi) falsifying the Dot3 schema, with
+    phi and psi distinct formulas from a fixed pool (atoms over 0 and 1,
+    their negations, and conjunctions and disjunctions of two of those), or
+    None when the pool or the budget of pairs is exhausted."""
     schema = SCHEMAS["Dot3"]
     ev = sys.evaluator()
-    pool = _generated_formulas(max_depth)
+    pool = _generated_formulas()
     n = len(pool)
     tested = 0
     # Diagonal order: pairs with small combined index come first, so a

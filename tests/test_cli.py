@@ -5,7 +5,9 @@ import pathlib
 
 import pytest
 
+import finarith.modal as modal
 from finarith.cli import main
+from finarith.logic import parse_formula
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -106,6 +108,25 @@ class TestReportContent:
         result = json.loads(out)["results"][0]
         assert result["value"] is True
         assert result["witness_world"] == "1"
+
+    def test_modal_eval_witness_costs_no_extra_evaluation(self, monkeypatch):
+        calls = []
+        real = modal._eval
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(modal, "_eval", counting)
+        text = "dia E x. x = " + " + ".join(["1"] * 8)
+        modal.eval_modal(modal.aristotelian_system(12), "1", parse_formula(text))
+        alone = len(calls)
+        calls.clear()
+        code, out = run(["--format", "json", "modal-eval", "--aristotelian", "12",
+                         "--world", "1", text])
+        assert code == 0
+        assert json.loads(out)["results"][0]["witness_world"] == "8"
+        assert len(calls) == alone
 
     def test_frame_classification(self):
         _, out = run(GOLDEN_CASES["frame"])

@@ -1,14 +1,16 @@
 """Truncation models, subset worlds, and the FA axiom checks."""
 import math
+import random
 
 import pytest
 
 from finarith.core import (
     SubsetWorld, Truncation, check_fa_axioms, largest_square_base,
-    make_subset_world, make_truncation, partial_plus, partial_times, successor,
+    make_subset_world, make_truncation, sample_elements,
 )
 from finarith.corpus import load_packaged_formulas
 from finarith.errors import DomainError
+from finarith.interp import build_plus_model
 
 
 @pytest.fixture(scope="module")
@@ -26,22 +28,22 @@ class TestTruncation:
 
     def test_partial_operations(self):
         m = make_truncation(10)
-        assert partial_plus(m, 4, 5) == 9
-        assert partial_plus(m, 6, 7) is None
-        assert partial_times(m, 2, 5) == 10
-        assert partial_times(m, 4, 4) is None
+        assert m.plus(4, 5) == 9
+        assert m.plus(6, 7) is None
+        assert m.times(2, 5) == 10
+        assert m.times(4, 4) is None
 
     def test_truncation_at_one(self):
         m = make_truncation(1)
         assert list(m) == [0, 1]
-        assert successor(m, 0) == 1
-        assert successor(m, 1) is None
+        assert m.succ(0) == 1
+        assert m.succ(1) is None
 
     def test_hundred(self):
         m = make_truncation(100)
         assert m.largest == 100
-        assert partial_times(m, 10, 10) == 100
-        assert partial_times(m, 10, 11) is None
+        assert m.times(10, 10) == 100
+        assert m.times(10, 11) is None
 
     def test_zero_height_rejected(self):
         with pytest.raises(ValueError):
@@ -59,18 +61,17 @@ class TestTruncation:
 
 
 class TestSubsetWorld:
-    def test_sparse_world_has_empty_plus_graph(self):
+    def test_sparse_world_has_no_defined_sum(self):
         w = make_subset_world({3, 5})
-        assert not w.plus_graph
+        assert all(w.plus(a, b) is None for a in w for b in w)
         assert w.less(3, 5)
-        assert w.plus(3, 5) is None
 
-    def test_even_world_graph(self):
+    def test_even_world_operations(self):
         w = make_subset_world({0, 2, 4})
-        assert (2, 2, 4) in w.plus_graph
-        assert (0, 4, 4) in w.plus_graph
-        assert (2, 4, 6) not in w.plus_graph
-        assert w.times(2, 2) == 4
+        for a in w:
+            for b in w:
+                assert w.plus(a, b) == (a + b if a + b in (0, 2, 4) else None)
+                assert w.times(a, b) == (a * b if a * b in (0, 2, 4) else None)
 
     def test_empty_world(self):
         w = make_subset_world(set())
@@ -81,7 +82,7 @@ class TestSubsetWorld:
         w = make_subset_world({1, 2, 3})
         assert w.zero is None
         assert w.one == 1
-        assert successor(w, 2) == 3
+        assert w.succ(2) == 3
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -105,6 +106,12 @@ class TestAxiomChecks:
         assert report.passed, report.failures()
         assert all(g.mode == "exhaustive" for g in report.groups.values())
 
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_lifted_models_pass(self, n, induction_corpus):
+        report = check_fa_axioms(build_plus_model(make_truncation(n)), induction_corpus)
+        assert report.passed, report.failures()
+        assert all(g.mode == "exhaustive" for g in report.groups.values())
+
     def test_large_model_sampled(self, induction_corpus):
         report = check_fa_axioms(make_truncation(10**6), induction_corpus)
         assert report.passed, report.failures()
@@ -123,3 +130,24 @@ class TestAxiomChecks:
     def test_reports_carry_failures(self):
         report = check_fa_axioms(make_subset_world({2, 3}))
         assert report.failures()
+
+
+class TestSampleElements:
+    def test_distinct_ascending_with_endpoints(self):
+        m = make_truncation(10**6)
+        sample = sample_elements(m, 50, random.Random(3))
+        assert len(set(sample)) == 50
+        assert sample == sorted(sample)
+        assert sample[0] == 0 and sample[-1] == 10**6
+
+    def test_lifted_model_sample_keeps_endpoints(self):
+        mp = build_plus_model(make_truncation(100))
+        sample = sample_elements(mp, 258, random.Random(0))
+        assert len(set(sample)) == 258
+        assert [mp.valuation(x) for x in sample] == sorted(mp.valuation(x) for x in sample)
+        assert sample[0] == mp.zero and sample[-1] == mp.largest
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_small_model_is_taken_whole(self, n):
+        m = make_truncation(n)
+        assert sample_elements(m, 7, random.Random(0)) == list(m)

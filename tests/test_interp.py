@@ -1,13 +1,12 @@
-"""The digit-string lifting: arithmetic, embeddings, towers."""
+"""The digit-string lifting: arithmetic, the initial-segment embedding, towers."""
 import pytest
 
 from finarith.core import make_truncation
 from finarith.corpus import load_packaged_formulas
 from finarith.errors import AdmissibilityError, DomainError, EvalError
 from finarith.interp import (
-    Embedding, InstrumentedStructure, InterpParams, InterpretedModel,
-    build_plus_model, build_tower, check_bounded_induction, digit_less,
-    digit_plus, digit_succ, digit_times, embed_initial, limit_eval,
+    InstrumentedStructure, InterpParams, InterpretedModel, build_plus_model,
+    build_tower, check_bounded_induction, embed_initial, limit_eval,
     minimal_admissible_width, verify_biinterpretation, verify_induction_lex,
 )
 from finarith.logic import parse_formula
@@ -31,36 +30,36 @@ class TestDigitOperations:
     def test_lexical_order(self, lift100):
         s = lift100.element(345)
         t = lift100.element(678)
-        assert digit_less(s, t)
-        assert not digit_less(t, s)
-        assert not digit_less(s, s)
+        assert lift100.less(s, t)
+        assert not lift100.less(t, s)
+        assert not lift100.less(s, s)
 
     def test_carry_boundary_order(self, lift100):
-        assert digit_less(lift100.element(9999), lift100.element(10000))
+        assert lift100.less(lift100.element(9999), lift100.element(10000))
 
     def test_succ_double_carry(self, lift100):
-        assert digit_succ(lift100.element(99)) == lift100.element(100)
-        assert digit_succ(lift100.zero) == lift100.one
+        assert lift100.succ(lift100.element(99)) == lift100.element(100)
+        assert lift100.succ(lift100.zero) == lift100.one
 
     def test_succ_of_top_undefined(self, lift100):
-        assert digit_succ(lift100.largest) is None
+        assert lift100.succ(lift100.largest) is None
 
     def test_plus(self, lift100):
-        assert digit_plus(lift100.element(345), lift100.element(678)) == lift100.element(1023)
-        assert digit_plus(lift100.largest, lift100.one) is None
+        assert lift100.plus(lift100.element(345), lift100.element(678)) == lift100.element(1023)
+        assert lift100.plus(lift100.largest, lift100.one) is None
         s = lift100.element(4242)
-        assert digit_plus(s, lift100.zero) == s
+        assert lift100.plus(s, lift100.zero) == s
 
     def test_times(self, lift100):
-        assert digit_times(lift100.element(12), lift100.element(34)) == lift100.element(408)
-        assert digit_times(lift100.element(400), lift100.element(300)) is None
+        assert lift100.times(lift100.element(12), lift100.element(34)) == lift100.element(408)
+        assert lift100.times(lift100.element(400), lift100.element(300)) is None
         s = lift100.element(271)
-        assert digit_times(s, lift100.one) == s
+        assert lift100.times(s, lift100.one) == s
 
     def test_mismatched_models_rejected(self, lift100):
         other = build_plus_model(make_truncation(99))
         with pytest.raises(DomainError):
-            digit_plus(lift100.zero, other.zero)
+            lift100.plus(lift100.zero, other.zero)
 
     def test_string_rendering(self, lift100):
         assert lift100.element(345).as_string() == "00345"
@@ -183,8 +182,7 @@ class TestBiinterpretation:
                 return honest(3)
             return honest(x)
 
-        bad = Embedding(m100, lift100, swapped)
-        report = verify_biinterpretation(m100, lift100, embedding=bad)
+        report = verify_biinterpretation(m100, lift100, embedding=swapped)
         assert not report.passed
         assert not report.checks["embedded_copy_isomorphic"]
         assert report.failures
@@ -235,6 +233,13 @@ class TestTower:
         tower = build_tower(make_truncation(12), 2)
         r = limit_eval(tower, "times", 12, 12)
         assert (r.value, r.stage) == (144, 1)
+
+    def test_limit_eval_rejects_foreign_operand(self):
+        tower = build_tower(make_truncation(100), 1)
+        with pytest.raises(DomainError):
+            limit_eval(tower, "plus", 101, 2)
+        with pytest.raises(DomainError):
+            limit_eval(tower, "times", 2, 101)
 
     def test_limit_eval_exhaustion(self):
         tower = build_tower(make_truncation(100), 0)

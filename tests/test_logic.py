@@ -13,6 +13,14 @@ from finarith.logic import (
 
 
 class TestParser:
+    def test_deep_formula_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_formula("!" * 3000 + "0 = 0")
+
+    def test_deep_term_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_term("(" * 3000 + "0" + ")" * 3000)
+
     def test_successor_sentence(self):
         f = parse_formula("A a. E b. b = a + 1")
         assert f == Forall("a", None, Exists("b", None, Eq(Var("b"), Sum(Var("a"), Const1()))))
@@ -197,6 +205,13 @@ class TestEvalFormula:
     def test_modal_rejected(self):
         with pytest.raises(WrongEvaluatorError):
             eval_formula(make_truncation(3), parse_formula("dia Def(0)"), {})
+
+    def test_deep_nesting_is_an_eval_error(self):
+        f = Eq(Const0(), Const0())
+        for _ in range(3000):
+            f = Not(f)
+        with pytest.raises(EvalError):
+            eval_formula(make_truncation(3), f, {})
 
 
 class TestSubstitutionAndInduction:

@@ -4,7 +4,7 @@ import pytest
 from finarith.core import SubsetWorld, make_subset_world, make_truncation
 from finarith.corpus import load_packaged_formulas, load_packaged_pairs
 from finarith.errors import DomainError, EvalError
-from finarith.logic import eval_formula, parse_formula, print_formula
+from finarith.logic import Const0, Eq, Possibly, eval_formula, parse_formula, print_formula
 from finarith.modal import (
     SCHEMAS, aristotelian_system, arbitrary_set_system, check_schema,
     check_translation_theorem, eval_modal, fork_system, frame_properties,
@@ -92,6 +92,20 @@ class TestEvalModal:
     def test_unassigned_variable(self, ari30):
         with pytest.raises(EvalError):
             eval_modal(ari30, "10", parse_formula("dia E b. b = a + 1"))
+
+    def test_deep_nesting_is_an_eval_error(self):
+        f = Eq(Const0(), Const0())
+        for _ in range(600):
+            f = Possibly(f)
+        with pytest.raises(EvalError):
+            eval_modal(aristotelian_system(3), "1", f)
+
+    def test_decide_names_the_first_deciding_world(self, ari30):
+        ev = ari30.evaluator()
+        assert ev.decide("3", parse_formula("dia E x. x = 1 + 1 + 1 + 1 + 1")) == (True, 4)
+        assert ev.decide("3", parse_formula("box !(E x. x = 1 + 1 + 1 + 1 + 1)")) == (False, 4)
+        assert ev.decide("3", parse_formula("box Def(1)")) == (True, None)
+        assert ev.decide("3", parse_formula("Def(1)")) == (True, None)
 
     def test_single_world_reflexive_collapse(self):
         s = aristotelian_system(1)
