@@ -341,6 +341,9 @@ def main(argv=None, out=None):
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     report = {
         "command": args.command,
         "params": params,

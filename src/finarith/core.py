@@ -11,6 +11,9 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DomainError, EvalError
+from .logic import (
+    eval_formula, free_variables, induction_instance, is_first_order, print_formula,
+)
 
 
 class PartialStructure:
@@ -252,8 +255,6 @@ def sampled_induction_fails(m, phi, v, elements):
     elements: it fails iff phi(0) holds, every sampled step phi(a) ->
     phi(a + 1) holds, and some sampled element falsifies phi.  A pass is
     evidence, not a proof."""
-    from .logic import eval_formula
-
     if m.zero is None or not eval_formula(m, phi, {v: m.zero}):
         return False
     concl_ok = True
@@ -276,8 +277,9 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     corpus formula's induction instance evaluates true.  Pair sweeps run
     exhaustively while size**2 <= budget and by seeded sampling above that.
     """
-    from .logic import eval_formula, free_variables, induction_instance
-
+    for phi in induction_corpus:
+        if not is_first_order(phi):
+            raise EvalError(f"induction corpus formula is not first-order: {print_formula(phi)}")
     rng = random.Random(seed)
     size = m.size()
     exhaustive = size * size <= budget

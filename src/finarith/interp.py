@@ -18,6 +18,10 @@ from .core import (
     PartialStructure, largest_square_base, sample_elements, sampled_induction_fails,
 )
 from .errors import AdmissibilityError, DomainError, EvalError
+from .logic import (
+    Exists, Forall, _nodes, eval_formula, eval_term, free_variables,
+    induction_instance, is_delta0, print_formula,
+)
 
 
 @dataclass(frozen=True)
@@ -50,9 +54,6 @@ class DigitString:
     def digits(self):
         kit = self.model.arith
         return tuple(kit.digits[i] for i in self.idx)
-
-    def value(self):
-        return self.model.valuation(self)
 
     def __eq__(self, other):
         return (
@@ -466,8 +467,6 @@ def verify_induction_lex(m_plus, phi):
     everywhere: one scan of m_plus in its iteration order, which is
     lexical (most significant digit first), stopping at the first
     falsifier."""
-    from .logic import eval_formula, free_variables
-
     fv = sorted(free_variables(phi))
     if len(fv) != 1:
         raise EvalError(f"formula must have exactly one free variable, got {fv}")
@@ -493,6 +492,8 @@ class Tower:
 def build_tower(m, stage_count, width=5):
     """Iterate the lifting: stages m = T0, T1, ..., with each stage the
     digit-string model over the previous one."""
+    if stage_count < 0:
+        raise ValueError("stage count must be at least 0")
     stages = [m]
     for _ in range(stage_count):
         stages.append(build_plus_model(stages[-1], width=width))
@@ -538,10 +539,6 @@ class BoundedInductionReport:
 def check_bounded_induction(tower, corpus, budget=4096, seed=0):
     """Induction instances of bounded formulas at every stage, plus truth
     agreement of closed bounded sentences between consecutive stages."""
-    from .logic import (
-        eval_formula, free_variables, induction_instance, is_delta0, print_formula,
-    )
-
     induction = []
     absoluteness = []
     failures = []
@@ -595,26 +592,13 @@ def check_bounded_induction(tower, corpus, budget=4096, seed=0):
 
 
 def _outer_bounds_defined(stage, phi):
-    """Every closed outermost quantifier bound of phi evaluates in stage."""
-    from .logic import (
-        And, Exists, Forall, Implies, Not, Or, eval_term, term_variables,
+    """Every closed quantifier bound in phi evaluates in stage."""
+    return all(
+        eval_term(stage, g.bound, {}) is not None
+        for g in _nodes(phi)
+        if isinstance(g, (Forall, Exists)) and g.bound is not None
+        and not free_variables(g.bound)
     )
-
-    def walk(g):
-        match g:
-            case Forall(_, bound, body) | Exists(_, bound, body):
-                if bound is not None and not term_variables(bound):
-                    if eval_term(stage, bound, {}) is None:
-                        return False
-                return walk(body)
-            case Not(body):
-                return walk(body)
-            case And(l, r) | Or(l, r) | Implies(l, r):
-                return walk(l) and walk(r)
-            case _:
-                return True
-
-    return walk(phi)
 
 
 # --- purity instrumentation ---

@@ -7,6 +7,11 @@ for the ASCII grammar, a precedence-aware printer, and a two-valued
 evaluator over any PartialStructure using the negative convention: an atom
 with an undefined term is false, with Def(.) as the explicit definedness
 atom.
+
+The structural helpers, here and in ``modal`` and ``interp``, share one
+traversal: _children lists a node's subterms and subformulas, _rebuild
+copies a node with a function applied to them, and _nodes walks a tree.
+Only the parser, the printer and the evaluator have a case per node kind.
 """
 from __future__ import annotations
 
@@ -143,108 +148,78 @@ Formula = (
     | Not | And | Or | Implies | Forall | Exists | Possibly | Necessarily
 )
 
-_ATOMS = (Eq, Lt, Defined, PlusAtom, TimesAtom)
 _QUANTIFIERS = (Forall, Exists)
 _MODALS = (Possibly, Necessarily)
 
 
-def numeral_term(n):
-    """The canonical closed term S(S(...S(0)...)) denoting n."""
-    t: Term = Const0()
-    for _ in range(n):
-        t = Succ(t)
-    return t
+# --- Shared traversal ---
+
+# Fields are read through __match_args__: reading a node's __dict__ makes
+# CPython build and keep a dict for it, slowing later reads and hashes.
+
+def _children(node):
+    """The subterms and subformulas of a term or formula, in field order;
+    variable names (str) and absent bounds (None) are not children."""
+    return [
+        c for c in map(node.__getattribute__, node.__match_args__)
+        if c is not None and not isinstance(c, str)
+    ]
+
+
+def _rebuild(node, fn):
+    """A node of the same class with fn applied to each child; node itself
+    when fn returns every child unchanged."""
+    fields = list(map(node.__getattribute__, node.__match_args__))
+    new = [x if x is None or isinstance(x, str) else fn(x) for x in fields]
+    if all(a is b for a, b in zip(fields, new)):
+        return node
+    return type(node)(*new)
+
+
+def _nodes(node):
+    """node and every term and formula inside it, in preorder."""
+    stack = [node]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(_children(g)))
 
 
 # --- Structural helpers ---
 
-def term_variables(t):
-    match t:
-        case Var(name):
-            return {name}
-        case Succ(arg):
-            return term_variables(arg)
-        case Sum(l, r) | Prod(l, r):
-            return term_variables(l) | term_variables(r)
-        case _:
-            return set()
-
-
-def free_variables(f):
-    match f:
-        case Eq(l, r) | Lt(l, r):
-            return term_variables(l) | term_variables(r)
-        case Defined(arg):
-            return term_variables(arg)
-        case PlusAtom(a, b, c) | TimesAtom(a, b, c):
-            return term_variables(a) | term_variables(b) | term_variables(c)
-        case Not(body) | Possibly(body) | Necessarily(body):
-            return free_variables(body)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return free_variables(l) | free_variables(r)
-        case Forall(v, bound, body) | Exists(v, bound, body):
-            out = free_variables(body) - {v}
-            if bound is not None:
-                out |= term_variables(bound)
-            return out
-    raise TypeError(f"not a formula: {f!r}")
+def free_variables(node):
+    """The variables of a term, or the free variables of a formula."""
+    # Type tests and skipping field-less children (constants) keep this as
+    # fast as a per-kind match; the modal evaluator runs it per dia/box body.
+    cls = type(node)
+    if cls is Var:
+        return {node.name}
+    if cls in _QUANTIFIERS:
+        out = free_variables(node.body) - {node.var}
+        if node.bound is not None:
+            out |= free_variables(node.bound)
+        return out
+    out = set()
+    for child in _children(node):
+        if child.__match_args__:
+            out |= free_variables(child)
+    return out
 
 
 def is_first_order(f):
-    match f:
-        case Possibly(_) | Necessarily(_):
-            return False
-        case Not(body):
-            return is_first_order(body)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return is_first_order(l) and is_first_order(r)
-        case Forall(_, _, body) | Exists(_, _, body):
-            return is_first_order(body)
-        case _:
-            return True
+    return not any(isinstance(g, _MODALS) for g in _nodes(f))
 
 
 def is_delta0(f):
     """First-order with every quantifier carrying a bound."""
-    match f:
-        case Possibly(_) | Necessarily(_):
-            return False
-        case Not(body):
-            return is_delta0(body)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return is_delta0(l) and is_delta0(r)
-        case Forall(_, bound, body) | Exists(_, bound, body):
-            return bound is not None and is_delta0(body)
-        case _:
-            return True
+    return not any(
+        isinstance(g, _MODALS) or isinstance(g, _QUANTIFIERS) and g.bound is None
+        for g in _nodes(f)
+    )
 
 
 def contains_constN(f):
-    def in_term(t):
-        match t:
-            case ConstN():
-                return True
-            case Succ(arg):
-                return in_term(arg)
-            case Sum(l, r) | Prod(l, r):
-                return in_term(l) or in_term(r)
-            case _:
-                return False
-
-    match f:
-        case Eq(l, r) | Lt(l, r):
-            return in_term(l) or in_term(r)
-        case Defined(arg):
-            return in_term(arg)
-        case PlusAtom(a, b, c) | TimesAtom(a, b, c):
-            return in_term(a) or in_term(b) or in_term(c)
-        case Not(body) | Possibly(body) | Necessarily(body):
-            return contains_constN(body)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return contains_constN(l) or contains_constN(r)
-        case Forall(_, bound, body) | Exists(_, bound, body):
-            return (bound is not None and in_term(bound)) or contains_constN(body)
-    raise TypeError(f"not a formula: {f!r}")
+    return any(isinstance(g, ConstN) for g in _nodes(f))
 
 
 def _fresh(name, taken):
@@ -254,47 +229,18 @@ def _fresh(name, taken):
     return f"{name}_{i}"
 
 
-def substitute_term(t, var, repl):
-    match t:
-        case Var(name):
-            return repl if name == var else t
-        case Succ(arg):
-            return Succ(substitute_term(arg, var, repl))
-        case Sum(l, r):
-            return Sum(substitute_term(l, var, repl), substitute_term(r, var, repl))
-        case Prod(l, r):
-            return Prod(substitute_term(l, var, repl), substitute_term(r, var, repl))
-        case _:
-            return t
-
-
-def substitute(f, var, repl):
-    """Capture-avoiding substitution of the term repl for the variable var."""
-    repl_vars = term_variables(repl)
+def substitute(node, var, repl):
+    """Capture-avoiding substitution of the term repl for the variable var
+    in a term or formula."""
+    repl_vars = free_variables(repl)
 
     def go(g):
         match g:
-            case Eq(l, r):
-                return Eq(substitute_term(l, var, repl), substitute_term(r, var, repl))
-            case Lt(l, r):
-                return Lt(substitute_term(l, var, repl), substitute_term(r, var, repl))
-            case Defined(arg):
-                return Defined(substitute_term(arg, var, repl))
-            case PlusAtom(a, b, c):
-                return PlusAtom(*(substitute_term(x, var, repl) for x in (a, b, c)))
-            case TimesAtom(a, b, c):
-                return TimesAtom(*(substitute_term(x, var, repl) for x in (a, b, c)))
-            case Not(body):
-                return Not(go(body))
-            case And(l, r):
-                return And(go(l), go(r))
-            case Or(l, r):
-                return Or(go(l), go(r))
-            case Implies(l, r):
-                return Implies(go(l), go(r))
+            case Var(name):
+                return repl if name == var else g
             case Forall(v, bound, body) | Exists(v, bound, body):
                 cls = type(g)
-                nb = None if bound is None else substitute_term(bound, var, repl)
+                nb = None if bound is None else go(bound)
                 if v == var:
                     return cls(v, nb, body)
                 if v in repl_vars and var in free_variables(body):
@@ -302,9 +248,9 @@ def substitute(f, var, repl):
                     body = substitute(body, v, Var(w))
                     v = w
                 return cls(v, nb, go(body))
-        raise TypeError(f"not a formula: {g!r}")
+        return _rebuild(g, go)
 
-    return go(f)
+    return go(node)
 
 
 def induction_instance(f, var):

@@ -19,8 +19,8 @@ from .core import SubsetWorld, Truncation
 from .errors import DomainError, EvalError
 from .logic import (
     And, Const0, Const1, Defined, Eq, Exists, Forall, Implies, Lt,
-    Necessarily, Not, Or, Possibly, _eval, eval_formula, free_variables,
-    is_first_order, print_formula,
+    Necessarily, Not, Or, Possibly, _eval, _rebuild, contains_constN,
+    eval_formula, free_variables, is_first_order, print_formula,
 )
 
 
@@ -275,22 +275,11 @@ def potentialist_translation(f):
     match f:
         case Possibly(_) | Necessarily(_):
             raise EvalError("potentialist translation applies to first-order formulas only")
-        case Not(body):
-            return Not(potentialist_translation(body))
-        case And(l, r):
-            return And(potentialist_translation(l), potentialist_translation(r))
-        case Or(l, r):
-            return Or(potentialist_translation(l), potentialist_translation(r))
-        case Implies(l, r):
-            return Implies(potentialist_translation(l), potentialist_translation(r))
-        case Forall(v, bound, body):
-            inner = Forall(v, bound, potentialist_translation(body))
-            return inner if bound is not None else Necessarily(inner)
-        case Exists(v, bound, body):
-            inner = Exists(v, bound, potentialist_translation(body))
-            return inner if bound is not None else Possibly(inner)
-        case _:
-            return f
+        case Forall(_, None, _):
+            return Necessarily(_rebuild(f, potentialist_translation))
+        case Exists(_, None, _):
+            return Possibly(_rebuild(f, potentialist_translation))
+    return _rebuild(f, potentialist_translation)
 
 
 @dataclass
@@ -430,9 +419,7 @@ SCHEMAS = {
 
 
 def schema_by_name(name):
-    key = {"k": "K", "t": "T", "four": "Four", "dot2": "Dot2", "dot3": "Dot3"}.get(
-        name.lower()
-    )
+    key = {k.lower(): k for k in SCHEMAS}.get(name.lower())
     if key is None:
         raise EvalError(f"unknown schema {name!r}; choose from {sorted(SCHEMAS)}")
     return SCHEMAS[key]
@@ -443,12 +430,6 @@ class SchemaCounterexample:
     world_id: str
     phi: object
     psi: object
-
-    def describe(self):
-        parts = [f"world {self.world_id}", f"phi = {print_formula(self.phi)}"]
-        if self.psi is not None:
-            parts.append(f"psi = {print_formula(self.psi)}")
-        return "; ".join(parts)
 
 
 def check_schema(sys, schema, instances):
@@ -497,6 +478,8 @@ def search_dot3_counterexample(sys, generator_budget=5000):
     phi and psi distinct formulas from a fixed pool (atoms over 0 and 1,
     their negations, and conjunctions and disjunctions of two of those), or
     None when the pool or the budget of pairs is exhausted."""
+    if generator_budget < 0:
+        raise ValueError("generator budget must be at least 0")
     schema = SCHEMAS["Dot3"]
     ev = sys.evaluator()
     pool = _generated_formulas()

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+import finarith.cli as cli
 import finarith.modal as modal
 from finarith.cli import main
 from finarith.logic import parse_formula
@@ -93,6 +94,30 @@ class TestExitCodes:
     def test_deeply_parenthesized_translate_is_two(self):
         code, _ = run(["translate", "(" * 3000 + "0 = 0" + ")" * 3000])
         assert code == 2
+
+    def test_modal_induction_corpus_is_two(self, tmp_path):
+        corpus = tmp_path / "ind.fml"
+        corpus.write_text("dia x = 0\n")
+        code, _ = run(["axioms", "--n", "12", "--corpus", str(corpus)])
+        assert code == 2
+
+    def test_negative_stage_count_is_two(self):
+        code, _ = run(["tower", "--n", "12", "--stages", "-1"])
+        assert code == 2
+
+    def test_negative_search_budget_is_two(self):
+        code, _ = run(["--budget", "-5", "validate", "--subsets", "1",
+                       "--schema", "dot3", "--search"])
+        assert code == 2
+
+    def test_out_of_memory_is_two(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "tower", exhausted)
+        code, _ = run(["tower", "--n", "12", "--stages", "4"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestReportContent:

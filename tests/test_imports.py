@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+name it defines at top level is read somewhere in the source tree."""
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "finarith"
+ROOT = pathlib.Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "finarith"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SEARCHED = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -30,3 +33,73 @@ def test_no_unused_imports(path):
 def test_scan_flags_an_unused_import():
     source = "import math\nfrom os import path, sep\n\ndef f():\n    return sep\n"
     assert unused_imports(source) == [(1, "math"), (2, "path")]
+
+
+def _definitions(tree):
+    """(name, defining statement) for each top-level function, class and
+    assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node
+
+
+def _reads(tree):
+    """(name, line) for each loaded name, attribute, imported name and name
+    in a string annotation."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(getattr(node, "annotation", None), ast.Constant):
+            for n in ast.walk(ast.parse(node.annotation.value, mode="eval")):
+                if isinstance(n, ast.Name):
+                    yield n.id, node.lineno
+
+
+def dead_definitions(modules, sources):
+    """(module, line, name) for each top-level definition of the modules
+    that no source reads outside the definition itself.  Both arguments map
+    a file name to its text; modules are among the sources."""
+    reads = {}
+    for file, source in sources.items():
+        for name, line in _reads(ast.parse(source)):
+            reads.setdefault(name, []).append((file, line))
+    dead = []
+    for module, source in modules.items():
+        for name, node in _definitions(ast.parse(source)):
+            if all(
+                file == module and node.lineno <= line <= node.end_lineno
+                for file, line in reads.get(name, ())
+            ):
+                dead.append((module, node.lineno, name))
+    return dead
+
+
+def test_every_definition_is_read():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SEARCHED}
+    modules = {str(p.relative_to(ROOT)): p.read_text() for p in MODULES}
+    assert dead_definitions(modules, sources) == []
+
+
+def test_scan_flags_a_dead_definition():
+    module = (
+        "def used():\n    return 1\n\n"
+        "def recursive():\n    return recursive()\n\n"
+        "LIMIT = 1\n"
+        "Alias = used\n"
+        "value: 'Alias' = 0\n"
+    )
+    sources = {"m.py": module, "test_m.py": "from m import used\n"}
+    assert dead_definitions({"m.py": module}, sources) == [
+        ("m.py", 4, "recursive"), ("m.py", 7, "LIMIT"), ("m.py", 9, "value"),
+    ]

@@ -137,6 +137,7 @@ class TestClassification:
     def test_free_variables(self):
         f = parse_formula("A x < y. Plus(x, z, w)")
         assert free_variables(f) == {"y", "z", "w"}
+        assert free_variables(parse_term("x + y * 0")) == {"x", "y"}
 
 
 class TestEvalTerm:
@@ -218,6 +219,7 @@ class TestSubstitutionAndInduction:
     def test_substitute_simple(self):
         f = parse_formula("x = y")
         assert substitute(f, "x", Const0()) == parse_formula("0 = y")
+        assert substitute(parse_term("S(x)"), "x", Const0()) == parse_term("S(0)")
 
     def test_substitute_capture_avoiding(self):
         f = parse_formula("E y. y = x + 1")
@@ -226,6 +228,13 @@ class TestSubstitutionAndInduction:
         assert isinstance(g, Exists)
         assert g.var != "y"
         assert "y" in free_variables(g)
+
+    def test_substitute_under_modality(self):
+        f = parse_formula("dia E y. y = x + 1")
+        g = substitute(f, "x", Var("y"))
+        assert isinstance(g, Possibly) and isinstance(g.body, Exists)
+        assert g.body.var != "y"
+        assert free_variables(g) == {"y"}
 
     def test_induction_instance_tautology(self):
         m = make_truncation(10)
