@@ -149,7 +149,7 @@ def _cmd_lift(args):
     mp = build_plus_model(m, width=args.width)
     report = verify_biinterpretation(m, mp, budget=args.budget, seed=args.seed)
     return (0 if report.passed else 1), [{
-        "base": mp.arith.base_value,
+        "base": mp.base_value,
         "width": args.width,
         "height": mp.valuation(mp.largest),
         "checks": report.checks,

@@ -277,6 +277,8 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     corpus formula's induction instance evaluates true.  Pair sweeps run
     exhaustively while size**2 <= budget and by seeded sampling above that.
     """
+    if budget < 0:
+        raise ValueError("budget must be at least 0")
     for phi in induction_corpus:
         if not is_first_order(phi):
             raise EvalError(f"induction corpus formula is not first-order: {print_formula(phi)}")
@@ -396,10 +398,10 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
         if exhaustive and size <= 4096:
             inst = induction_instance(phi, v)
             if not eval_formula(m, inst, {}):
-                fails.append(f"induction instance fails for {phi}")
+                fails.append(f"induction instance fails for {print_formula(phi)}")
             continue
         if sampled_induction_fails(m, phi, v, elements):
-            fails.append(f"induction instance fails for {phi}")
+            fails.append(f"induction instance fails for {print_formula(phi)}")
     groups["induction"] = GroupResult("induction", not fails, mode, fails)
 
     return AxiomReport(passed=all(g.passed for g in groups.values()), groups=groups)

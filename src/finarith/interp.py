@@ -1,15 +1,19 @@
 """Interpreting a strictly taller model inside a model of finite arithmetic.
 
-Elements of the lifted model are fixed-width base-b digit strings over the
-ground model, where b is the largest ground element whose square is defined.
-Order is lexical; successor, addition, and multiplication run the
-grade-school algorithms column by column, consulting the ground model only
-for arithmetic on individual digits (all below b).  Decomposing a digit sum
-or product into carry and digit uses bookkeeping on digit positions, which
+``InterpretedModel`` is the lift M+ of a ground model M.  Its elements are
+fixed-width base-b digit strings over M, where b is the largest ground
+element whose square is defined.  The model holds the digit roster below b
+and two self-filling tables: the carry and digit of a digit sum, and the
+high and low digits of a digit product.  Order is lexical; successor,
+addition, and multiplication run the grade-school algorithms column by
+column and consult the ground model only through those tables, that is,
+only for arithmetic on individual digits (all below b).  Splitting a digit
+sum or product into its two digits is bookkeeping on digit positions, which
 never touches a quantity as large as b*b.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -52,8 +56,8 @@ class DigitString:
 
     @property
     def digits(self):
-        kit = self.model.arith
-        return tuple(kit.digits[i] for i in self.idx)
+        roster = self.model.digits
+        return tuple(roster[i] for i in self.idx)
 
     def __eq__(self, other):
         return (
@@ -66,128 +70,104 @@ class DigitString:
         return hash(self.idx) ^ id(self.model)
 
     def as_string(self):
-        b = self.model.arith.base_value
+        b = self.model.base_value
         if b <= 36:
             alphabet = "0123456789abcdefghijklmnopqrstuvwxyz"
             return "".join(alphabet[i] for i in self.idx)
         return "[" + ",".join(str(i) for i in self.idx) + "]"
 
     def __repr__(self):
-        return f"<{self.as_string()} base {self.model.arith.base_value}>"
+        return f"<{self.as_string()} base {self.model.base_value}>"
 
 
-class DigitArithmetic:
-    """Digit-level machinery over a ground model: the digit roster below b,
-    and memoized carry/digit tables fed by genuine ground-model operations
-    on digits."""
+class InterpretedModel(PartialStructure):
+    """The taller model built from width-k base-b digit strings over a
+    ground FA model.  Satisfies FA with the all-(b-1) string on top.
 
-    def __init__(self, ground, base, width):
-        self.ground = ground
-        self.base = base
-        self.width = width
+    Construction walks the digit roster 0, 1, ..., b-1 by ground successor:
+    ``digits`` lists the ground digits, ``index`` maps each back to its
+    position, and ``base_value`` is b, the roster length.  The carry/digit
+    tables fill themselves on first use, each entry once, by one genuine
+    ground operation on digits below b.
+    """
+
+    def __init__(self, ground, params):
         if ground.zero is None or ground.one is None:
             raise DomainError("ground model must interpret 0 and 1")
+        self.ground = ground
+        self.base = params.base
+        self.width = k = params.width
         digits = [ground.zero]
-        cur = ground.zero
-        while True:
-            nxt = ground.succ(cur)
+        while (nxt := ground.succ(digits[-1])) != params.base:
             if nxt is None:
                 raise AdmissibilityError("ground model ends before the base")
-            if nxt == base:
-                break
             digits.append(nxt)
-            cur = nxt
         self.digits = digits
-        self.base_value = len(digits)
-        self.index = {d: i for i, d in enumerate(digits)}
-        self._add3 = {}
-        self._mul = {}
+        self.index = index = {d: i for i, d in enumerate(digits)}
+        self.base_value = b = len(digits)
 
-    def add3(self, i, j, c):
-        """(carry, digit) of digits[i] + digits[j] + c, with c in {0, 1}.
+        @functools.cache
+        def add3(i, j, c):
+            """(carry, digit) of digits[i] + digits[j] + c, with c in {0, 1}."""
+            if c:
+                if i == b - 1:
+                    return 1, j  # (b-1) + 1 overflows the digit range: total is b + j
+                i = index[ground.plus(digits[i], ground.one)]
+            s = index.get(ground.plus(digits[i], digits[j]))
+            return (1, i + j - b) if s is None else (0, s)
 
-        Ground additions only ever see operands below b; the carry/digit
-        split of the (sub-b*b) result is positional bookkeeping.
-        """
-        key = (i, j, c)
-        hit = self._add3.get(key)
-        if hit is not None:
-            return hit
-        g = self.ground
-        b = self.base_value
-        if c:
-            if i == b - 1:
-                # (b-1) + 1 overflows the digit range: total is b + j.
-                out = (1, j)
-                self._add3[key] = out
-                return out
-            bumped = g.plus(self.digits[i], g.one)
-            i2 = self.index[bumped]
-        else:
-            i2 = i
-        s = g.plus(self.digits[i2], self.digits[j])
-        si = self.index.get(s)
-        if si is not None:
-            out = (0, si)
-        else:
-            out = (1, i2 + j - b)
-        self._add3[key] = out
-        return out
+        @functools.cache
+        def mul2(i, j):
+            """(high, low) digits of digits[i] * digits[j]."""
+            if ground.times(digits[i], digits[j]) is None:
+                raise DomainError("digit product undefined; base exceeds the square bound")
+            return divmod(i * j, b)
 
-    def mul2(self, i, j):
-        """(high, low) digits of digits[i] * digits[j]."""
-        key = (i, j)
-        hit = self._mul.get(key)
-        if hit is not None:
-            return hit
-        p = self.ground.times(self.digits[i], self.digits[j])
-        if p is None:
-            raise DomainError("digit product undefined; base exceeds the square bound")
-        out = divmod(i * j, self.base_value)
-        self._mul[key] = out
-        return out
+        self._add3 = add3
+        self._mul2 = mul2
+        self.zero = DigitString(self, (0,) * k)
+        self.one = DigitString(self, (0,) * (k - 1) + (1,))
+        self.largest = DigitString(self, (b - 1,) * k)
 
-    # --- string algorithms on index tuples ---
+    def __iter__(self):
+        for idx in itertools.product(range(self.base_value), repeat=self.width):
+            yield DigitString(self, idx)
 
-    def add_idx(self, s, t):
-        memo = self._add3
-        add3 = self.add3
-        k = self.width
-        out = [0] * k
+    def __contains__(self, x):
+        return isinstance(x, DigitString) and x.model is self
+
+    def size(self):
+        return self.base_value ** self.width
+
+    def less(self, a, b):
+        self._require(a, b)
+        return a.idx < b.idx  # lexical comparison, most significant first
+
+    def _plus(self, a, b):
+        s, t = a.idx, b.idx
+        out = [0] * self.width
         c = 0
-        for i in range(k - 1, -1, -1):
-            key = (s[i], t[i], c)
-            hit = memo.get(key)
-            if hit is None:
-                hit = add3(*key)
-            c, out[i] = hit
-        if c:
-            return None  # final carry out of the leading column
-        return tuple(out)
+        for i in range(self.width - 1, -1, -1):
+            c, out[i] = self._add3(s[i], t[i], c)
+        # A carry out of the leading column: the sum is above the top.
+        return None if c else DigitString(self, tuple(out))
 
-    def succ_idx(self, s):
-        memo = self._add3
-        add3 = self.add3
-        out = list(s)
+    def succ(self, a):
+        self._require(a)
+        out = list(a.idx)
         c = 1
         i = self.width - 1
         while c and i >= 0:
-            key = (s[i], 0, c)
-            hit = memo.get(key)
-            if hit is None:
-                hit = add3(*key)
-            c, out[i] = hit
+            c, out[i] = self._add3(out[i], 0, c)
             i -= 1
-        if c:
-            return None  # s was the all-(b-1) string
-        return tuple(out)
+        # A carry out of the leading column: a was the all-(b-1) string.
+        return None if c else DigitString(self, tuple(out))
 
-    def mul_idx(self, s, t):
-        k = self.width
-        amemo = self._add3
-        mmemo = self._mul
-        add3 = self.add3
-        mul2 = self.mul2
+    def _times(self, a, b):
+        # Local names: reading the tables off self in these loops costs
+        # about 8% of a product.
+        add3, mul2, k = self._add3, self._mul2, self.width
+        s, t = a.idx, b.idx
         res = [0] * (2 * k)
         for j in range(k - 1, -1, -1):
             tj = t[j]
@@ -202,105 +182,43 @@ class DigitArithmetic:
                     row[i + 1] = carry
                     carry = 0
                     continue
-                hit = mmemo.get((si, tj))
-                if hit is None:
-                    hit = mul2(si, tj)
-                hi, lo = hit
-                key = (lo, carry, 0)
-                hit = amemo.get(key)
-                if hit is None:
-                    hit = add3(*key)
-                c1, row[i + 1] = hit
+                hi, lo = mul2(si, tj)
+                c1, row[i + 1] = add3(lo, carry, 0)
                 carry = hi + c1
             row[0] = carry
-            # Shifted addition of the row into the double-width result.
-            shift = (k - 1) - j
-            pos = 2 * k - 1 - shift
+            # Shifted addition of the row into the double-width result,
+            # whose lowest column for this row is k + j.
+            pos = k + j
             c = 0
             for r in range(k, -1, -1):
                 rr = row[r]
-                if rr == 0 and c == 0:
-                    pos -= 1
-                    continue
-                key = (res[pos], rr, c)
-                hit = amemo.get(key)
-                if hit is None:
-                    hit = add3(*key)
-                c, res[pos] = hit
+                if rr or c:
+                    c, res[pos] = add3(res[pos], rr, c)
                 pos -= 1
             while c:
-                key = (res[pos], 0, c)
-                hit = amemo.get(key)
-                if hit is None:
-                    hit = add3(*key)
-                c, res[pos] = hit
+                c, res[pos] = add3(res[pos], 0, c)
                 pos -= 1
-        if any(res[:k]):
-            return None  # true product needs more than k digits
-        return tuple(res[k:])
-
-
-class InterpretedModel(PartialStructure):
-    """The taller model built from width-k base-b digit strings over a
-    ground FA model.  Satisfies FA with the all-(b-1) string on top."""
-
-    def __init__(self, ground, params):
-        self.ground = ground
-        self.params = params
-        self.arith = DigitArithmetic(ground, params.base, params.width)
-        k = params.width
-        self.zero = DigitString(self, (0,) * k)
-        self.one = DigitString(self, (0,) * (k - 1) + (1,))
-        top = self.arith.base_value - 1
-        self.largest = DigitString(self, (top,) * k)
-
-    def __iter__(self):
-        b, k = self.arith.base_value, self.params.width
-        for idx in itertools.product(range(b), repeat=k):
-            yield DigitString(self, idx)
-
-    def __contains__(self, x):
-        return isinstance(x, DigitString) and x.model is self
-
-    def size(self):
-        return self.arith.base_value ** self.params.width
-
-    def less(self, a, b):
-        self._require(a, b)
-        return a.idx < b.idx  # lexical comparison, most significant first
-
-    def _plus(self, a, b):
-        idx = self.arith.add_idx(a.idx, b.idx)
-        return None if idx is None else DigitString(self, idx)
-
-    def _times(self, a, b):
-        idx = self.arith.mul_idx(a.idx, b.idx)
-        return None if idx is None else DigitString(self, idx)
-
-    def succ(self, a):
-        self._require(a)
-        idx = self.arith.succ_idx(a.idx)
-        return None if idx is None else DigitString(self, idx)
+        # The true product needs more than k digits: it is above the top.
+        return None if any(res[:k]) else DigitString(self, tuple(res[k:]))
 
     def iter_below(self, x):
         self._require(x)
-        b, k = self.arith.base_value, self.params.width
         target = x.idx
-        for idx in itertools.product(range(b), repeat=k):
+        for idx in itertools.product(range(self.base_value), repeat=self.width):
             if idx >= target:
                 return
             yield DigitString(self, idx)
 
     def valuation(self, x):
         self._require(x)
-        b = self.arith.base_value
+        b = self.base_value
         v = 0
         for i in x.idx:
             v = v * b + i
         return v
 
     def element(self, value):
-        b, k = self.arith.base_value, self.params.width
+        b, k = self.base_value, self.width
         if not 0 <= value < b**k:
             raise DomainError(f"value {value} outside the width-{k} base-{b} range")
         idx = []
@@ -310,7 +228,7 @@ class InterpretedModel(PartialStructure):
         return DigitString(self, tuple(reversed(idx)))
 
     def __repr__(self):
-        return f"InterpretedModel(base={self.arith.base_value}, width={self.params.width})"
+        return f"InterpretedModel(base={self.base_value}, width={self.width})"
 
 
 # --- model construction ---
@@ -350,8 +268,8 @@ def embed_initial(m, m_plus):
     with downward-closed image."""
     if m_plus.ground is not m:
         raise DomainError("lifted model was not built from this ground model")
-    bv = m_plus.arith.base_value
-    k = m_plus.params.width
+    bv = m_plus.base_value
+    k = m_plus.width
 
     def embed(x):
         if x not in m:
@@ -382,6 +300,8 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
     lifted element is reassembled by its own digit representation over the
     copy of b, (iii) round trips through the digit representation are the
     identity on ground elements."""
+    if budget < 0:
+        raise ValueError("budget must be at least 0")
     rng = random.Random(seed)
     e = embedding if embedding is not None else embed_initial(m, m_plus)
     checks = {}
@@ -421,7 +341,7 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
 
     # (ii) each lifted element is rebuilt, inside the lifted model, from its
     # digit images and the image of b: fold acc -> acc * e(b) + e(digit).
-    eb = e(m_plus.params.base)
+    eb = e(m_plus.base)
     strings = list(m_plus) if m_plus.size() <= 4096 else sample_elements(m_plus, 258, rng)
     ok = True
     for s in strings:
@@ -439,7 +359,7 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
 
     # (iii) round trip: the digits of e(x) recombine to x inside the ground
     # model itself.
-    b = m_plus.params.base
+    b = m_plus.base
     ok = True
     for x in ground_elems:
         ds = images[m.valuation(x)].digits
@@ -536,13 +456,19 @@ class BoundedInductionReport:
     failures: list = field(default_factory=list)
 
 
-def check_bounded_induction(tower, corpus, budget=4096, seed=0):
+# check_bounded_induction evaluates the induction instance whole at a stage
+# of at most this many elements, and on a sample drawn with the seed above it.
+_INDUCTION_BUDGET = 4096
+_INDUCTION_SEED = 0
+
+
+def check_bounded_induction(tower, corpus):
     """Induction instances of bounded formulas at every stage, plus truth
     agreement of closed bounded sentences between consecutive stages."""
     induction = []
     absoluteness = []
     failures = []
-    rng = random.Random(seed)
+    rng = random.Random(_INDUCTION_SEED)
 
     for phi in corpus:
         if not is_delta0(phi):
@@ -554,7 +480,7 @@ def check_bounded_induction(tower, corpus, budget=4096, seed=0):
         if len(fv) == 1:
             v = fv[0]
             for i, stage in enumerate(tower.stages):
-                if stage.size() <= budget:
+                if stage.size() <= _INDUCTION_BUDGET:
                     ok = eval_formula(stage, induction_instance(phi, v), {})
                 else:
                     ok = not sampled_induction_fails(

@@ -295,8 +295,6 @@ def check_translation_theorem(sys, corpus):
     of its potentialist translation at every world.  Requires a convergent
     system; sentences mentioning N are skipped (N is read de dicto per
     world, so it is not a rigid designator)."""
-    from .logic import contains_constN
-
     if sys.limit is None:
         raise EvalError("translation theorem requires a system with a limit structure")
     if not sys.is_convergent():

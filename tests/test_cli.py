@@ -110,6 +110,14 @@ class TestExitCodes:
                        "--schema", "dot3", "--search"])
         assert code == 2
 
+    def test_negative_axioms_budget_is_two(self):
+        code, _ = run(["--budget", "-1", "axioms", "--n", "12"])
+        assert code == 2
+
+    def test_negative_lift_budget_is_two(self):
+        code, _ = run(["--budget", "-1", "lift", "--n", "100"])
+        assert code == 2
+
     def test_out_of_memory_is_two(self, monkeypatch, capsys):
         def exhausted(args):
             raise MemoryError

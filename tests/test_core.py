@@ -11,6 +11,7 @@ from finarith.core import (
 from finarith.corpus import load_packaged_formulas
 from finarith.errors import DomainError
 from finarith.interp import build_plus_model
+from finarith.logic import parse_formula
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,11 @@ class TestAxiomChecks:
     def test_reports_carry_failures(self):
         report = check_fa_axioms(make_subset_world({2, 3}))
         assert report.failures()
+
+    def test_induction_failure_prints_the_formula(self):
+        # x < 2 holds at 0 and 1 but not at 2, the successor of 1.
+        report = check_fa_axioms(make_subset_world({0, 1, 2, 3}), [parse_formula("x < 1 + 1")])
+        assert report.groups["induction"].failures == ["induction instance fails for x < 1 + 1"]
 
 
 class TestSampleElements:

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-name it defines at top level is read somewhere in the source tree."""
+"""Every name a package module imports is used in that module and imported
+there once, and every name it defines at top level is read somewhere in the
+source tree."""
 import ast
 import pathlib
 
@@ -11,18 +12,34 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SEARCHED = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
-def unused_imports(source):
-    tree = ast.parse(source)
-    imported = {}
+def _imported_names(tree):
+    """(line, name) for each name an import statement binds."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+                yield node.lineno, (alias.asname or alias.name).split(".")[0]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                yield node.lineno, alias.asname or alias.name
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    imported = {name: line for line, name in _imported_names(tree)}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def repeated_imports(source):
+    """(line, name) for each import of a name the module imported on an
+    earlier line."""
+    seen = set()
+    repeats = []
+    for line, name in sorted(_imported_names(ast.parse(source))):
+        if name in seen:
+            repeats.append((line, name))
+        seen.add(name)
+    return repeats
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -30,9 +47,23 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_repeated_imports(path):
+    assert repeated_imports(path.read_text()) == []
+
+
 def test_scan_flags_an_unused_import():
     source = "import math\nfrom os import path, sep\n\ndef f():\n    return sep\n"
     assert unused_imports(source) == [(1, "math"), (2, "path")]
+
+
+def test_scan_flags_a_repeated_import():
+    source = (
+        "import math\nfrom os import sep\n\n"
+        "def f():\n    from os import sep\n    import math as m\n    return sep, m\n\n"
+        "def g():\n    from os.path import sep\n    return sep\n"
+    )
+    assert repeated_imports(source) == [(5, "sep"), (10, "sep")]
 
 
 def _definitions(tree):

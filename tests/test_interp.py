@@ -1,4 +1,7 @@
 """The digit-string lifting: arithmetic, the initial-segment embedding, towers."""
+import hashlib
+import random
+
 import pytest
 
 from finarith.core import make_truncation
@@ -99,13 +102,13 @@ class TestOracleEquivalence:
 
 class TestBuildPlusModel:
     def test_heights(self, m100, lift100):
-        assert lift100.arith.base_value == 10
+        assert lift100.base_value == 10
         assert lift100.valuation(lift100.largest) == 99999
         assert lift100.size() == 100000
 
     def test_truncation_twelve(self):
         mp = build_plus_model(make_truncation(12))
-        assert mp.arith.base_value == 3
+        assert mp.base_value == 3
         assert mp.valuation(mp.largest) == 242
 
     def test_inadmissible_names_minimal_width(self):
@@ -283,3 +286,42 @@ class TestPurity:
         mp.times(mp.element(314), mp.element(271))
         assert instr.requests
         assert instr.all_operands_below(b)
+
+
+def _ground_requests(n, ops=300, seed=5):
+    """Every ground request made while lifting make_truncation(n) and then
+    running a seeded batch of plus, times and succ on the lift."""
+    ground = InstrumentedStructure(make_truncation(n))
+    mp = build_plus_model(ground)
+    size = mp.size()
+    rng = random.Random(seed)
+
+    def draw():
+        # Magnitudes spread over every digit count, not only the top one.
+        return mp.element(rng.randrange(max(1, size >> rng.randrange(size.bit_length()))))
+
+    for _ in range(ops):
+        op = rng.choice(("plus", "times", "succ"))
+        x, y = draw(), draw()
+        if op == "succ":
+            mp.succ(x)
+        else:
+            getattr(mp, op)(x, y)
+    return ground.requests
+
+
+class TestGroundRequestSequence:
+    """The digit tables ask the ground model the same questions, in the
+    same order, as the dict-memo tables they replaced did when these values
+    were recorded: each entry is filled once, by the same ground operations
+    on digits below b."""
+
+    @pytest.mark.parametrize("n,count,digest", [
+        (12, 31, "8fbb79adfe650eaa"),
+        (100, 354, "804c93f936b75308"),
+        (400, 984, "4e439ebb381b5f11"),
+    ])
+    def test_recorded_sequence(self, n, count, digest):
+        requests = _ground_requests(n)
+        assert len(requests) == count
+        assert hashlib.sha256(repr(requests).encode()).hexdigest()[:16] == digest
