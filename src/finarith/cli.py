@@ -214,7 +214,7 @@ def _cmd_modal_eval(args):
     f = parse_formula(args.formula)
     if free_variables(f):
         raise FinarithError(f"formula has free variables: {sorted(free_variables(f))}")
-    value, decider = sys_.evaluator().decide(args.world, f)
+    value, decider = sys_.decide(args.world, f)
     result = {"formula": print_formula(f), "world": args.world, "value": value, **spec}
     if value and isinstance(f, Possibly):
         result["witness_world"] = sys_.ids[decider]

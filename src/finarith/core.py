@@ -315,6 +315,8 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
             if x != top and not m.less(x, top):
                 fails.append(f"top {top!r} is not above {x!r}")
                 break
+    if m.largest is None:
+        fails.append("constant N absent")
     for x in elements:
         if m.less(x, x):
             fails.append(f"order not irreflexive at {x!r}")
@@ -387,6 +389,8 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     groups["arithmetic"] = GroupResult("arithmetic", not fails, mode, fails)
 
     # Induction: each corpus formula's induction instance evaluates true.
+    # The instance's step ranges below N, so without N (reported in the
+    # order group) it ranges over nothing and no instance is evaluated.
     fails = []
     for phi in induction_corpus:
         fv = sorted(free_variables(phi))
@@ -395,6 +399,8 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
                 f"induction corpus formula must have exactly one free variable, got {fv}"
             )
         v = fv[0]
+        if m.largest is None:
+            continue
         if exhaustive and size <= 4096:
             inst = induction_instance(phi, v)
             if not eval_formula(m, inst, {}):

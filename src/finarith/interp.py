@@ -102,6 +102,10 @@ class InterpretedModel(PartialStructure):
             if nxt is None:
                 raise AdmissibilityError("ground model ends before the base")
             digits.append(nxt)
+        if len(digits) != params.base_value:
+            raise AdmissibilityError(
+                f"base has value {len(digits)} in the ground model, not {params.base_value}"
+            )
         self.digits = digits
         self.index = index = {d: i for i, d in enumerate(digits)}
         self.base_value = b = len(digits)

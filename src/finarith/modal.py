@@ -6,8 +6,8 @@ grow.  dia phi holds at a world when phi holds at some accessible world;
 box phi when it holds at all of them.  Quantifiers range over the current
 world; individuals are rigid, so a witness found here still exists in every
 larger world.  Everything but dia/box is evaluated by the first-order
-recursion of ``logic``; each system's evaluator memoizes the bodies of
-dia/box nodes per world.
+recursion of ``logic``; each system decides dia/box itself and memoizes
+the bodies of its dia/box nodes per world.
 """
 from __future__ import annotations
 
@@ -25,11 +25,17 @@ from .logic import (
 
 
 class PotentialistSystem:
-    """Worlds, accessibility, and an optional designated limit structure.
+    """Worlds, accessibility, an optional designated limit structure, and
+    Kripke evaluation over them.
 
     ``access[i]`` is the frozenset of indices reachable from world i
     (including i itself once validated reflexive).  Worlds are addressed by
-    index or by their string id.
+    index or by their string id.  Atoms, connectives and quantifiers run
+    through the first-order recursion of ``logic`` at the current world;
+    the system decides only dia/box, scanning the accessible worlds in
+    index order.  For each dia/box node it memoizes the truth of the node's
+    body at each accessible world, keyed by (body, world, restriction of
+    the assignment to the body's free variables).
     """
 
     def __init__(self, worlds, ids, access, limit=None, validate=True):
@@ -44,7 +50,9 @@ class PotentialistSystem:
         self.limit = limit
         if validate:
             self.validate()
-        self._evaluator = None
+        self._access = [tuple(sorted(s)) for s in self.access]
+        self._memo = {}
+        self._fv = {}
 
     def resolve(self, world):
         """Accept an index or an id; return the index."""
@@ -109,19 +117,47 @@ class PotentialistSystem:
                         f"no world accessible from {self.ids[i]} accommodates {w!r}"
                     )
 
-    def is_convergent(self):
-        if self.limit is None:
-            return False
+    def decide(self, world, f, assignment=None):
+        """(truth of f at world, deciding world).  For a dia/box f the
+        deciding world is the index of the first accessible world where the
+        body holds (dia) or fails (box); otherwise, and when no such world
+        exists, it is None.  Bodies of dia/box nodes are memoized per world
+        in the system, so repeated calls share the work."""
+        i = self.resolve(world)
+        a = dict(assignment) if assignment else {}
         try:
-            self._validate_convergence()
-        except ValueError:
-            return False
-        return True
+            for v in self._free(f):
+                if v not in a:
+                    raise EvalError(f"unassigned variable {v!r}")
+            if isinstance(f, (Possibly, Necessarily)):
+                return self._scan(i, f, a)
+            return _eval(self.worlds[i], f, a, partial(self._modal, i)), None
+        except RecursionError as exc:
+            raise EvalError("formula is nested too deeply") from exc
 
-    def evaluator(self):
-        if self._evaluator is None:
-            self._evaluator = ModalEvaluator(self)
-        return self._evaluator
+    def _free(self, f):
+        r = self._fv.get(f)
+        if r is None:
+            r = tuple(sorted(free_variables(f)))
+            self._fv[f] = r
+        return r
+
+    def _modal(self, i, f, assignment):
+        return self._scan(i, f, assignment)[0]
+
+    def _scan(self, i, f, assignment):
+        body = f.body
+        vals = tuple(assignment[v] for v in self._free(body))
+        want = isinstance(f, Possibly)  # dia stops at a true body, box at a false one
+        for j in self._access[i]:
+            key = (body, j, vals)
+            hit = self._memo.get(key)
+            if hit is None:
+                world = self.worlds[j]
+                hit = self._memo[key] = _eval(world, body, assignment, partial(self._modal, j))
+            if hit == want:
+                return want, j
+        return not want, None
 
     def __repr__(self):
         return f"PotentialistSystem({len(self.worlds)} worlds, limit={self.limit!r})"
@@ -197,73 +233,10 @@ def load_system(worlds, ids, access_pairs, limit=None):
     return PotentialistSystem(worlds, ids, access, limit=limit, validate=True)
 
 
-# --- evaluation ---
-
-class ModalEvaluator:
-    """Kripke evaluation over a fixed system.
-
-    Atoms, connectives and quantifiers run through the first-order
-    recursion of ``logic`` at the current world; this class decides only
-    dia/box, scanning the accessible worlds in index order.  For each
-    dia/box node it memoizes the truth of the node's body at each
-    accessible world, keyed by (body, world, restriction of the assignment
-    to the body's free variables)."""
-
-    def __init__(self, sys):
-        self.sys = sys
-        self._memo = {}
-        self._fv = {}
-        self._access = [tuple(sorted(s)) for s in sys.access]
-
-    def _free(self, f):
-        r = self._fv.get(f)
-        if r is None:
-            r = tuple(sorted(free_variables(f)))
-            self._fv[f] = r
-        return r
-
-    def eval(self, world, f, assignment=None):
-        return self.decide(world, f, assignment)[0]
-
-    def decide(self, world, f, assignment=None):
-        """(truth of f at world, deciding world).  For a dia/box f the
-        deciding world is the index of the first accessible world where the
-        body holds (dia) or fails (box); otherwise, and when no such world
-        exists, it is None."""
-        i = self.sys.resolve(world)
-        a = dict(assignment) if assignment else {}
-        try:
-            for v in self._free(f):
-                if v not in a:
-                    raise EvalError(f"unassigned variable {v!r}")
-            if isinstance(f, (Possibly, Necessarily)):
-                return self._scan(i, f, a)
-            return _eval(self.sys.worlds[i], f, a, partial(self._modal, i)), None
-        except RecursionError as exc:
-            raise EvalError("formula is nested too deeply") from exc
-
-    def _modal(self, i, f, assignment):
-        return self._scan(i, f, assignment)[0]
-
-    def _scan(self, i, f, assignment):
-        body = f.body
-        vals = tuple(assignment[v] for v in self._free(body))
-        want = isinstance(f, Possibly)  # dia stops at a true body, box at a false one
-        for j in self._access[i]:
-            key = (body, j, vals)
-            hit = self._memo.get(key)
-            if hit is None:
-                world = self.sys.worlds[j]
-                hit = self._memo[key] = _eval(world, body, assignment, partial(self._modal, j))
-            if hit == want:
-                return want, j
-        return not want, None
-
-
 def eval_modal(sys, world, f, assignment=None):
     """phi at a world of the system, treating the system as the entire
     universe of worlds."""
-    return sys.evaluator().eval(world, f, assignment)
+    return sys.decide(world, f, assignment)[0]
 
 
 # --- potentialist translation ---
@@ -297,13 +270,14 @@ def check_translation_theorem(sys, corpus):
     world, so it is not a rigid designator)."""
     if sys.limit is None:
         raise EvalError("translation theorem requires a system with a limit structure")
-    if not sys.is_convergent():
-        raise EvalError("translation theorem requires the convergence condition")
+    try:
+        sys._validate_convergence()
+    except ValueError as exc:
+        raise EvalError(f"translation theorem requires the convergence condition: {exc}") from exc
 
     results = []
     violations = []
     skipped = []
-    ev = sys.evaluator()
     for psi in corpus:
         text = print_formula(psi)
         if not is_first_order(psi):
@@ -317,7 +291,7 @@ def check_translation_theorem(sys, corpus):
         translated = potentialist_translation(psi)
         per_world = {}
         for i, wid in enumerate(sys.ids):
-            t = ev.eval(i, translated)
+            t = sys.decide(i, translated)[0]
             per_world[wid] = t
             if t != limit_truth:
                 violations.append(
@@ -430,25 +404,27 @@ class SchemaCounterexample:
     psi: object
 
 
+def _counterexamples(sys, schema, instances):
+    """Yield a SchemaCounterexample for each (phi, psi) pair, in order, and
+    each world, in index order, where the pair's schema instance fails.
+    One-variable schemas ignore psi and report it as None."""
+    for phi, psi in instances:
+        if schema.arity == 1:
+            psi = None
+        inst = schema.instantiate(phi, psi)
+        for i, wid in enumerate(sys.ids):
+            if not sys.decide(i, inst)[0]:
+                yield SchemaCounterexample(wid, phi, psi)
+
+
 def check_schema(sys, schema, instances):
     """Evaluate each instantiated schema at every world; return all
-    failures.  Instances are (phi, psi) pairs; psi is ignored by one-variable
-    schemas."""
-    ev = sys.evaluator()
-    out = []
-    for phi, psi in instances:
-        for g in (phi, psi):
-            if g is not None and free_variables(g):
-                raise EvalError(
-                    f"schema instances must be closed: {print_formula(g)}"
-                )
-        inst = schema.instantiate(phi, psi if schema.arity == 2 else phi)
-        for i, wid in enumerate(sys.ids):
-            if not ev.eval(i, inst):
-                out.append(
-                    SchemaCounterexample(wid, phi, psi if schema.arity == 2 else None)
-                )
-    return out
+    failures.  Instances are (phi, psi) pairs of closed formulas; psi is
+    ignored by one-variable schemas."""
+    for g in itertools.chain.from_iterable(instances):
+        if g is not None and free_variables(g):
+            raise EvalError(f"schema instances must be closed: {print_formula(g)}")
+    return list(_counterexamples(sys, schema, instances))
 
 
 # --- counterexample search ---
@@ -471,6 +447,17 @@ def _generated_formulas():
     return out
 
 
+def _diagonal_pairs(pool):
+    """Pairs of distinct pool formulas in diagonal order: pairs with small
+    combined index come first, so a witness built from two mid-pool
+    formulas is reached early."""
+    n = len(pool)
+    for s in range(2 * n - 1):
+        for a in range(max(0, s - n + 1), min(s + 1, n)):
+            if a != s - a:
+                yield pool[a], pool[s - a]
+
+
 def search_dot3_counterexample(sys, generator_budget=5000):
     """Return the first (world, phi, psi) falsifying the Dot3 schema, with
     phi and psi distinct formulas from a fixed pool (atoms over 0 and 1,
@@ -478,24 +465,5 @@ def search_dot3_counterexample(sys, generator_budget=5000):
     None when the pool or the budget of pairs is exhausted."""
     if generator_budget < 0:
         raise ValueError("generator budget must be at least 0")
-    schema = SCHEMAS["Dot3"]
-    ev = sys.evaluator()
-    pool = _generated_formulas()
-    n = len(pool)
-    tested = 0
-    # Diagonal order: pairs with small combined index come first, so a
-    # witness built from two mid-pool formulas is reached early.
-    for s in range(2 * n - 1):
-        for a in range(min(s + 1, n)):
-            b = s - a
-            if b >= n or a == b:
-                continue
-            if tested >= generator_budget:
-                return None
-            tested += 1
-            phi, psi = pool[a], pool[b]
-            inst = schema.instantiate(phi, psi)
-            for i, wid in enumerate(sys.ids):
-                if not ev.eval(i, inst):
-                    return SchemaCounterexample(wid, phi, psi)
-    return None
+    pairs = itertools.islice(_diagonal_pairs(_generated_formulas()), generator_budget)
+    return next(_counterexamples(sys, SCHEMAS["Dot3"], pairs), None)

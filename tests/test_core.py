@@ -133,9 +133,23 @@ class TestAxiomChecks:
         assert report.failures()
 
     def test_induction_failure_prints_the_formula(self):
-        # x < 2 holds at 0 and 1 but not at 2, the successor of 1.
-        report = check_fa_axioms(make_subset_world({0, 1, 2, 3}), [parse_formula("x < 1 + 1")])
-        assert report.groups["induction"].failures == ["induction instance fails for x < 1 + 1"]
+        class LoopingSuccessor(Truncation):
+            # 1 + 1 = 1: counting up from 0 never leaves {0, 1}.
+            def _plus(self, a, b):
+                return 1 if (a, b) == (1, 1) else super()._plus(a, b)
+
+        report = check_fa_axioms(LoopingSuccessor(3), [parse_formula("x = 0 | x = 1")])
+        assert report.groups["induction"].failures == [
+            "induction instance fails for x = 0 | x = 1"
+        ]
+
+    def test_subset_world_lacks_only_constant_N(self):
+        # The same structure as the truncation at 3, but N does not denote.
+        corpus = [parse_formula("x < 1 + 1")]
+        assert check_fa_axioms(make_truncation(3), corpus).passed
+        report = check_fa_axioms(make_subset_world({0, 1, 2, 3}), corpus)
+        assert report.failures() == ["constant N absent"]
+        assert report.groups["induction"].passed
 
 
 class TestSampleElements:

@@ -1,10 +1,13 @@
 """Every name a package module imports is used in that module and imported
-there once, and every name it defines at top level is read somewhere in the
-source tree."""
+there once, every name it defines at top level is read somewhere in the
+source tree, and the benchmark's entry points into the package resolve."""
 import ast
+import importlib.util
 import pathlib
 
 import pytest
+
+from finarith import interp
 
 ROOT = pathlib.Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "finarith"
@@ -134,3 +137,15 @@ def test_scan_flags_a_dead_definition():
     assert dead_definitions({"m.py": module}, sources) == [
         ("m.py", 4, "recursive"), ("m.py", 7, "LIMIT"), ("m.py", 9, "value"),
     ]
+
+
+def test_benchmark_entry_points_resolve():
+    # Loads bench/tracing.py as it is, so a removed or renamed public name
+    # the benchmark calls fails here without running the benchmark suite.
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.LIBRARY_CALLS
+    for name, (_span, fn) in tracing.LIBRARY_CALLS.items():
+        assert callable(fn), name
+    assert isinstance(interp.InstrumentedStructure, type)

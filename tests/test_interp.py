@@ -117,6 +117,10 @@ class TestBuildPlusModel:
         assert exc.value.minimal_width == 7
         assert minimal_admissible_width(2, 8) == 7
 
+    def test_base_value_must_match_the_walked_roster(self):
+        with pytest.raises(AdmissibilityError, match="value 3 in the ground model, not 7"):
+            InterpretedModel(make_truncation(9), InterpParams(3, 7, 4))
+
     def test_width_nine_succeeds_for_eight(self):
         mp = build_plus_model(make_truncation(8), width=7)
         assert mp.valuation(mp.largest) == 127

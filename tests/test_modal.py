@@ -1,12 +1,18 @@
 """Potentialist systems, Kripke evaluation, frames, schemas, translation."""
+import gc
+import weakref
+
 import pytest
 
+from finarith import modal
 from finarith.core import SubsetWorld, make_subset_world, make_truncation
 from finarith.corpus import load_packaged_formulas, load_packaged_pairs
 from finarith.errors import DomainError, EvalError
-from finarith.logic import Const0, Eq, Possibly, eval_formula, parse_formula, print_formula
+from finarith.logic import (
+    Const0, Eq, Necessarily, Possibly, eval_formula, parse_formula, print_formula,
+)
 from finarith.modal import (
-    SCHEMAS, aristotelian_system, arbitrary_set_system, check_schema,
+    SCHEMAS, PotentialistSystem, aristotelian_system, arbitrary_set_system, check_schema,
     check_translation_theorem, eval_modal, fork_system, frame_properties,
     load_system, potentialist_translation, schema_by_name,
     search_dot3_counterexample,
@@ -101,11 +107,10 @@ class TestEvalModal:
             eval_modal(aristotelian_system(3), "1", f)
 
     def test_decide_names_the_first_deciding_world(self, ari30):
-        ev = ari30.evaluator()
-        assert ev.decide("3", parse_formula("dia E x. x = 1 + 1 + 1 + 1 + 1")) == (True, 4)
-        assert ev.decide("3", parse_formula("box !(E x. x = 1 + 1 + 1 + 1 + 1)")) == (False, 4)
-        assert ev.decide("3", parse_formula("box Def(1)")) == (True, None)
-        assert ev.decide("3", parse_formula("Def(1)")) == (True, None)
+        assert ari30.decide("3", parse_formula("dia E x. x = 1 + 1 + 1 + 1 + 1")) == (True, 4)
+        assert ari30.decide("3", parse_formula("box !(E x. x = 1 + 1 + 1 + 1 + 1)")) == (False, 4)
+        assert ari30.decide("3", parse_formula("box Def(1)")) == (True, None)
+        assert ari30.decide("3", parse_formula("Def(1)")) == (True, None)
 
     def test_single_world_reflexive_collapse(self):
         s = aristotelian_system(1)
@@ -175,6 +180,24 @@ class TestSchemas:
         with pytest.raises(EvalError):
             check_schema(sub1, SCHEMAS["T"], [(parse_formula("x = 0"), None)])
 
+    def test_second_pass_is_answered_from_the_memo(self, monkeypatch):
+        # One memo per system: a repeated check evaluates each instance once
+        # per world at top level and finds every dia/box body memoized.
+        system = arbitrary_set_system(2)
+        pairs = load_packaged_pairs("schema_instances.fml")
+        first = check_schema(system, SCHEMAS["Dot3"], pairs)
+        real = modal._eval
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(modal, "_eval", counting)
+        assert check_schema(system, SCHEMAS["Dot3"], pairs) == first
+        assert len(calls) == len(pairs) * len(system.worlds)
+        assert not any(isinstance(f, (Possibly, Necessarily)) for f in calls)
+
 
 class TestDot3Search:
     def test_finds_witness_on_arbitrary_set(self, sub1):
@@ -187,6 +210,17 @@ class TestDot3Search:
 
     def test_absent_on_single_world(self):
         assert search_dot3_counterexample(aristotelian_system(1), generator_budget=600) is None
+
+    def test_searched_system_is_freed_without_the_cycle_collector(self):
+        system = aristotelian_system(6)
+        gc.disable()
+        try:
+            assert search_dot3_counterexample(system, 200) is None
+            ref = weakref.ref(system)
+            del system
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestTranslation:
@@ -241,6 +275,14 @@ class TestTranslationTheorem:
     def test_requires_limit(self):
         with pytest.raises(EvalError):
             check_translation_theorem(fork_system(), [parse_formula("E x. x = x")])
+
+    def test_non_convergent_system_names_the_failed_condition(self):
+        worlds = [SubsetWorld({0}), SubsetWorld({0, 1})]
+        system = PotentialistSystem(
+            worlds, ["a", "b"], [{0, 1}, {1}], limit=make_truncation(2), validate=False,
+        )
+        with pytest.raises(EvalError, match="no world accessible from a accommodates 2"):
+            check_translation_theorem(system, [parse_formula("E x. x = x")])
 
 
 class TestPersistence:
