@@ -19,7 +19,7 @@ from .core import check_fa_axioms, largest_square_base, make_subset_world, make_
 from .errors import FinarithError
 from .interp import build_plus_model, build_tower, verify_biinterpretation
 from .logic import (
-    Exists, Forall, Possibly, _quantifier_range, eval_formula, free_variables,
+    Exists, Forall, Possibly, _decide, eval_formula, free_variables,
     parse_formula, print_formula,
 )
 from .modal import (
@@ -169,26 +169,20 @@ def _cmd_tower(args):
     }]
 
 
-def _quantifier_trace(m, f, assignment):
+def _quantifier_trace(m, f):
     """Top-level chain of quantifier witnesses/counterexamples explaining
-    the truth value.  The scan of each level's range decides on its own:
-    E has a witness iff it holds, A a counterexample iff it fails."""
+    the truth value: at each level, the element that decided it.  E has a
+    witness iff it holds, A a counterexample iff it fails."""
     steps = []
-    cur = f
-    while isinstance(cur, (Forall, Exists)):
-        found = None
-        for x in _quantifier_range(m, cur.bound, dict(assignment)):
-            inner = eval_formula(m, cur.body, {**assignment, cur.var: x})
-            if inner != isinstance(cur, Exists):
-                continue
-            found = x
-            break
+    assignment = {}
+    while isinstance(f, (Forall, Exists)):
+        found = _decide(m, f, assignment, None)[1]
         if found is None:
             break
-        kind = "witness" if isinstance(cur, Exists) else "counterexample"
-        steps.append({"kind": kind, "var": cur.var, "value": m.valuation(found)})
-        assignment[cur.var] = found
-        cur = cur.body
+        kind = "witness" if isinstance(f, Exists) else "counterexample"
+        steps.append({"kind": kind, "var": f.var, "value": m.valuation(found)})
+        assignment[f.var] = found
+        f = f.body
     return steps
 
 
@@ -205,7 +199,7 @@ def _cmd_eval(args):
     value = eval_formula(m, f, {})
     result = {"formula": print_formula(f), "value": value, **spec}
     if args.trace:
-        result["trace"] = _quantifier_trace(m, f, {})
+        result["trace"] = _quantifier_trace(m, f)
     return 0, [result]
 
 
@@ -241,26 +235,16 @@ def _cmd_validate(args):
         if schema.name != "Dot3":
             raise FinarithError("--search is available for the Dot3 schema only")
         witness = search_dot3_counterexample(sys_, generator_budget=args.budget)
-        if witness is None:
-            return 0, [{"schema": schema.name, "searched": True, "counterexamples": [], **spec}]
-        return 1, [{
-            "schema": schema.name,
-            "searched": True,
-            "counterexamples": [{
-                "world": witness.world_id,
-                "phi": print_formula(witness.phi),
-                "psi": print_formula(witness.psi),
-            }],
-            **spec,
-        }]
-    if args.corpus:
-        instances = corpus_mod.load_pairs(args.corpus)
+        hits = [] if witness is None else [witness]
     else:
-        instances = corpus_mod.load_packaged_pairs("schema_instances.fml")
-    hits = check_schema(sys_, schema, instances)
-    results = [{
+        if args.corpus:
+            instances = corpus_mod.load_pairs(args.corpus)
+        else:
+            instances = corpus_mod.load_packaged_pairs("schema_instances.fml")
+        hits = check_schema(sys_, schema, instances)
+    return (1 if hits else 0), [{
         "schema": schema.name,
-        "searched": False,
+        "searched": args.search,
         "counterexamples": [
             {
                 "world": h.world_id,
@@ -271,7 +255,6 @@ def _cmd_validate(args):
         ],
         **spec,
     }]
-    return (1 if hits else 0), results
 
 
 def _cmd_translate(args):

@@ -279,6 +279,7 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     """
     if budget < 0:
         raise ValueError("budget must be at least 0")
+    induction_corpus = list(induction_corpus)  # checked, then evaluated: read it once
     for phi in induction_corpus:
         if not is_first_order(phi):
             raise EvalError(f"induction corpus formula is not first-order: {print_formula(phi)}")

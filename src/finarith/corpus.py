@@ -12,37 +12,34 @@ from .errors import ParseError
 from .logic import parse_formula
 
 
-def _strip(line):
-    return line.split("#", 1)[0].strip()
+def _parse_lines(text, parse_line):
+    """parse_line applied to each line that is not blank once its ``#``
+    comment is cut; a ParseError names the line it comes from."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            out.append(parse_line(line))
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+    return out
+
+
+def _parse_pair(line):
+    parts = line.split(";")
+    if len(parts) != 2:
+        raise ParseError("expected 'formula ; formula'")
+    return parse_formula(parts[0]), parse_formula(parts[1])
 
 
 def parse_corpus_text(text):
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        try:
-            out.append(parse_formula(line))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-    return out
+    return _parse_lines(text, parse_formula)
 
 
 def parse_pairs_text(text):
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        parts = line.split(";")
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'formula ; formula'")
-        try:
-            out.append((parse_formula(parts[0]), parse_formula(parts[1])))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-    return out
+    return _parse_lines(text, _parse_pair)
 
 
 def _packaged(name):

@@ -206,12 +206,8 @@ class InterpretedModel(PartialStructure):
         return None if any(res[:k]) else DigitString(self, tuple(res[k:]))
 
     def iter_below(self, x):
-        self._require(x)
-        target = x.idx
-        for idx in itertools.product(range(self.base_value), repeat=self.width):
-            if idx >= target:
-                return
-            yield DigitString(self, idx)
+        # Iteration is lexical, which is value order.
+        return itertools.islice(self, self.valuation(x))
 
     def valuation(self, x):
         self._require(x)
@@ -473,6 +469,7 @@ def check_bounded_induction(tower, corpus):
     absoluteness = []
     failures = []
     rng = random.Random(_INDUCTION_SEED)
+    corpus = list(corpus)  # checked, then evaluated: read it once
 
     for phi in corpus:
         if not is_delta0(phi):

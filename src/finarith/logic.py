@@ -12,6 +12,10 @@ The structural helpers, here and in ``modal`` and ``interp``, share one
 traversal: _children lists a node's subterms and subformulas, _rebuild
 copies a node with a function applied to them, and _nodes walks a tree.
 Only the parser, the printer and the evaluator have a case per node kind.
+
+_decide is the one binder scan: it decides E/A over a quantifier's range
+and hands dia/box to the modal callback, reporting what decided each; the
+``fa eval --trace`` chain reads the deciding elements from it.
 """
 from __future__ import annotations
 
@@ -583,11 +587,12 @@ def eval_formula(m, f, assignment=None):
 
 
 def _eval(m, f, assignment, modal):
-    """The one recursion over atoms, connectives and quantifiers in m.
+    """The one recursion over atoms, connectives and binders in m.
 
-    ``modal(f, assignment)`` decides a dia/box node f; Kripke evaluation
-    passes one bound to the current world.  With modal None, as in
-    eval_formula, modal nodes raise WrongEvaluatorError.
+    ``modal(f, assignment)`` decides a dia/box node f and returns (truth,
+    deciding world); Kripke evaluation passes one bound to the current
+    world.  With modal None, as in eval_formula, modal nodes raise
+    WrongEvaluatorError.
     """
     match f:
         case Eq(l, r):
@@ -604,16 +609,12 @@ def _eval(m, f, assignment, modal):
             return b is not None and m.less(a, b)
         case Defined(arg):
             return eval_term(m, arg, assignment) is not None
-        case PlusAtom(ta, tb, tc):
+        case PlusAtom(ta, tb, tc) | TimesAtom(ta, tb, tc):
             a = eval_term(m, ta, assignment)
             b = eval_term(m, tb, assignment)
             c = eval_term(m, tc, assignment)
-            return a is not None and b is not None and c is not None and m.plus(a, b) == c
-        case TimesAtom(ta, tb, tc):
-            a = eval_term(m, ta, assignment)
-            b = eval_term(m, tb, assignment)
-            c = eval_term(m, tc, assignment)
-            return a is not None and b is not None and c is not None and m.times(a, b) == c
+            op = m.plus if type(f) is PlusAtom else m.times
+            return a is not None and b is not None and c is not None and op(a, b) == c
         case Not(body):
             return not _eval(m, body, assignment, modal)
         case And(l, r):
@@ -622,39 +623,41 @@ def _eval(m, f, assignment, modal):
             return _eval(m, l, assignment, modal) or _eval(m, r, assignment, modal)
         case Implies(l, r):
             return (not _eval(m, l, assignment, modal)) or _eval(m, r, assignment, modal)
-        case Forall(v, bound, body):
-            saved = assignment.get(v, _MISSING)
-            try:
-                for x in _quantifier_range(m, bound, assignment):
-                    assignment[v] = x
-                    if not _eval(m, body, assignment, modal):
-                        return False
-                return True
-            finally:
-                if saved is _MISSING:
-                    assignment.pop(v, None)
-                else:
-                    assignment[v] = saved
-        case Exists(v, bound, body):
-            saved = assignment.get(v, _MISSING)
-            try:
-                for x in _quantifier_range(m, bound, assignment):
-                    assignment[v] = x
-                    if _eval(m, body, assignment, modal):
-                        return True
-                return False
-            finally:
-                if saved is _MISSING:
-                    assignment.pop(v, None)
-                else:
-                    assignment[v] = saved
-        case Possibly(_) | Necessarily(_):
-            if modal is None:
-                raise WrongEvaluatorError(
-                    "modal operator in first-order evaluation; use finarith.modal.eval_modal"
-                )
-            return modal(f, assignment)
+        case Forall() | Exists() | Possibly() | Necessarily():
+            return _decide(m, f, assignment, modal)[0]
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _decide(m, f, assignment, modal):
+    """(truth of the binder f, what decided it).
+
+    E and dia hold as soon as one element or accessible world makes the
+    body true; A and box fail as soon as one makes it false.  For a
+    quantifier the decider is the first element of its range, in iteration
+    order, that does so, or None when there is none; assignment is restored
+    on return.  A dia/box node is handed to modal, which reports the
+    deciding world the same way.
+    """
+    if isinstance(f, _MODALS):
+        if modal is None:
+            raise WrongEvaluatorError(
+                "modal operator in first-order evaluation; use finarith.modal.eval_modal"
+            )
+        return modal(f, assignment)
+    v, body = f.var, f.body
+    want = type(f) is Exists  # E stops at a true body, A at a false one
+    saved = assignment.get(v, _MISSING)
+    try:
+        for x in _quantifier_range(m, f.bound, assignment):
+            assignment[v] = x
+            if _eval(m, body, assignment, modal) == want:
+                return want, x
+        return not want, None
+    finally:
+        if saved is _MISSING:
+            assignment.pop(v, None)
+        else:
+            assignment[v] = saved
 
 
 def _quantifier_range(m, bound, assignment):

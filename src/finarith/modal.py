@@ -6,8 +6,10 @@ grow.  dia phi holds at a world when phi holds at some accessible world;
 box phi when it holds at all of them.  Quantifiers range over the current
 world; individuals are rigid, so a witness found here still exists in every
 larger world.  Everything but dia/box is evaluated by the first-order
-recursion of ``logic``; each system decides dia/box itself and memoizes
-the bodies of its dia/box nodes per world.
+recursion of ``logic``.  dia/box follow the rule of E/A there, over
+accessible worlds instead of elements: logic._decide hands each dia/box
+node to the system, which returns (truth, deciding world) and memoizes the
+bodies of its dia/box nodes per world.
 """
 from __future__ import annotations
 
@@ -32,10 +34,12 @@ class PotentialistSystem:
     (including i itself once validated reflexive).  Worlds are addressed by
     index or by their string id.  Atoms, connectives and quantifiers run
     through the first-order recursion of ``logic`` at the current world;
-    the system decides only dia/box, scanning the accessible worlds in
-    index order.  For each dia/box node it memoizes the truth of the node's
-    body at each accessible world, keyed by (body, world, restriction of
-    the assignment to the body's free variables).
+    the system decides only dia/box.  Its ``_scan``, bound to a world, is
+    the modal callback of that recursion: it scans the accessible worlds
+    in index order and returns (truth, deciding world), as logic._decide
+    does for a quantifier and its range.  For each dia/box node it memoizes
+    the truth of the node's body at each accessible world, keyed by (body,
+    world, restriction of the assignment to the body's free variables).
     """
 
     def __init__(self, worlds, ids, access, limit=None, validate=True):
@@ -131,7 +135,7 @@ class PotentialistSystem:
                     raise EvalError(f"unassigned variable {v!r}")
             if isinstance(f, (Possibly, Necessarily)):
                 return self._scan(i, f, a)
-            return _eval(self.worlds[i], f, a, partial(self._modal, i)), None
+            return _eval(self.worlds[i], f, a, partial(self._scan, i)), None
         except RecursionError as exc:
             raise EvalError("formula is nested too deeply") from exc
 
@@ -142,9 +146,6 @@ class PotentialistSystem:
             self._fv[f] = r
         return r
 
-    def _modal(self, i, f, assignment):
-        return self._scan(i, f, assignment)[0]
-
     def _scan(self, i, f, assignment):
         body = f.body
         vals = tuple(assignment[v] for v in self._free(body))
@@ -154,7 +155,7 @@ class PotentialistSystem:
             hit = self._memo.get(key)
             if hit is None:
                 world = self.worlds[j]
-                hit = self._memo[key] = _eval(world, body, assignment, partial(self._modal, j))
+                hit = self._memo[key] = _eval(world, body, assignment, partial(self._scan, j))
             if hit == want:
                 return want, j
         return not want, None
@@ -421,6 +422,7 @@ def check_schema(sys, schema, instances):
     """Evaluate each instantiated schema at every world; return all
     failures.  Instances are (phi, psi) pairs of closed formulas; psi is
     ignored by one-variable schemas."""
+    instances = list(instances)  # checked, then evaluated: read it once
     for g in itertools.chain.from_iterable(instances):
         if g is not None and free_variables(g):
             raise EvalError(f"schema instances must be closed: {print_formula(g)}")

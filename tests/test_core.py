@@ -8,15 +8,22 @@ from finarith.core import (
     SubsetWorld, Truncation, check_fa_axioms, largest_square_base,
     make_subset_world, make_truncation, sample_elements,
 )
-from finarith.corpus import load_packaged_formulas
+from finarith.corpus import load_packaged_formulas, load_packaged_pairs
 from finarith.errors import DomainError
-from finarith.interp import build_plus_model
+from finarith.interp import build_plus_model, build_tower, check_bounded_induction
 from finarith.logic import parse_formula
+from finarith.modal import SCHEMAS, check_schema, fork_system
 
 
 @pytest.fixture(scope="module")
 def induction_corpus():
     return load_packaged_formulas("induction20.fml")
+
+
+class LoopingSuccessor(Truncation):
+    # 1 + 1 = 1: counting up from 0 never leaves {0, 1}.
+    def _plus(self, a, b):
+        return 1 if (a, b) == (1, 1) else super()._plus(a, b)
 
 
 class TestTruncation:
@@ -133,11 +140,6 @@ class TestAxiomChecks:
         assert report.failures()
 
     def test_induction_failure_prints_the_formula(self):
-        class LoopingSuccessor(Truncation):
-            # 1 + 1 = 1: counting up from 0 never leaves {0, 1}.
-            def _plus(self, a, b):
-                return 1 if (a, b) == (1, 1) else super()._plus(a, b)
-
         report = check_fa_axioms(LoopingSuccessor(3), [parse_formula("x = 0 | x = 1")])
         assert report.groups["induction"].failures == [
             "induction instance fails for x = 0 | x = 1"
@@ -150,6 +152,33 @@ class TestAxiomChecks:
         report = check_fa_axioms(make_subset_world({0, 1, 2, 3}), corpus)
         assert report.failures() == ["constant N absent"]
         assert report.groups["induction"].passed
+
+
+# Each check validates its argument before evaluating it, so it must read a
+# one-shot iterable once.  Every case reports something the empty argument
+# does not: failures, or induction and absoluteness records.
+ONE_SHOT_CASES = {
+    "check_schema": (
+        lambda arg: check_schema(fork_system(), SCHEMAS["Dot2"], arg),
+        lambda: load_packaged_pairs("schema_instances.fml"),
+    ),
+    "check_fa_axioms": (
+        lambda arg: check_fa_axioms(LoopingSuccessor(3), arg),
+        lambda: [parse_formula("x = 0 | x = 1")],
+    ),
+    "check_bounded_induction": (
+        lambda arg: check_bounded_induction(build_tower(make_truncation(12), 1), arg),
+        lambda: [parse_formula("x + 0 = x"), parse_formula("E y < 1 + 1. y = 1")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SHOT_CASES))
+def test_a_generator_is_checked_like_a_list(name):
+    check, items = ONE_SHOT_CASES[name]
+    expected = check(items())
+    assert expected != check([])
+    assert check(x for x in items()) == expected
 
 
 class TestSampleElements:

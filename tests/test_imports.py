@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module and imported
-there once, every name it defines at top level is read somewhere in the
-source tree, and the benchmark's entry points into the package resolve."""
+there once, every name it defines at top level and every method of its
+top-level classes is read somewhere in the source tree, and the benchmark's
+entry points into the package resolve."""
 import ast
 import importlib.util
 import pathlib
@@ -71,8 +72,15 @@ def test_scan_flags_a_repeated_import():
 
 def _definitions(tree):
     """(name, defining statement) for each top-level function, class and
-    assigned name."""
+    assigned name, and each method of a top-level class but the dunders,
+    which Python calls by protocol."""
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.name, item
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -101,9 +109,10 @@ def _reads(tree):
 
 
 def dead_definitions(modules, sources):
-    """(module, line, name) for each top-level definition of the modules
-    that no source reads outside the definition itself.  Both arguments map
-    a file name to its text; modules are among the sources."""
+    """(module, line, name) for each definition of the modules (see
+    _definitions) that no source reads outside the definition itself.
+    Both arguments map a file name to its text; modules are among the
+    sources."""
     reads = {}
     for file, source in sources.items():
         for name, line in _reads(ast.parse(source)):
@@ -131,11 +140,16 @@ def test_scan_flags_a_dead_definition():
         "def recursive():\n    return recursive()\n\n"
         "LIMIT = 1\n"
         "Alias = used\n"
-        "value: 'Alias' = 0\n"
+        "value: 'Alias' = 0\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.get()\n\n"
+        "    def get(self):\n        return 1\n\n"
+        "    def _adapter(self):\n        return self._adapter\n"
     )
-    sources = {"m.py": module, "test_m.py": "from m import used\n"}
+    sources = {"m.py": module, "test_m.py": "from m import used, Box\n"}
     assert dead_definitions({"m.py": module}, sources) == [
         ("m.py", 4, "recursive"), ("m.py", 7, "LIMIT"), ("m.py", 9, "value"),
+        ("m.py", 18, "_adapter"),
     ]
 
 

@@ -64,6 +64,12 @@ class TestDigitOperations:
         with pytest.raises(DomainError):
             lift100.plus(lift100.zero, other.zero)
 
+    def test_iter_below_is_the_definitional_initial_segment(self):
+        mp = build_plus_model(make_truncation(9))  # b = 3, k = 5: 243 elements
+        for v in (0, 1, 2, 3, 100, mp.size() - 1):
+            x = mp.element(v)
+            assert list(mp.iter_below(x)) == [s for s in mp if mp.less(s, x)], v
+
     def test_string_rendering(self, lift100):
         assert lift100.element(345).as_string() == "00345"
         assert lift100.largest.as_string() == "99999"

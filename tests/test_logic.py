@@ -2,6 +2,7 @@
 import pytest
 
 from finarith.core import make_subset_world, make_truncation
+from finarith.corpus import parse_corpus_text, parse_pairs_text
 from finarith.errors import EvalError, ParseError, WrongEvaluatorError
 from finarith.logic import (
     And, Const0, Const1, ConstN, Defined, Eq, Exists, Forall, Implies, Lt,
@@ -90,6 +91,18 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             parse_formula("x = $")
         assert exc.value.position is not None
+
+    def test_corpus_errors_name_the_line(self):
+        # Comment and blank lines are skipped but still counted.
+        with pytest.raises(ParseError, match=r"^line 2: expected a term, found None \(at position 3\)$"):
+            parse_corpus_text("# header\nx = \n")
+        with pytest.raises(ParseError, match=r"^line 1: expected 'formula ; formula'$"):
+            parse_pairs_text("x = 0\n\n0 = 0 ; 1 = 1\n")
+        with pytest.raises(ParseError, match=r"^line 3: expected a term, found None \(at position 4\)$"):
+            parse_pairs_text("0 = 0 ; 1 = 1\n\n0 = 0 ; 1 <  # open\n")
+        assert parse_pairs_text("# c\n\n0 = 0 ; 1 = 1  # pair\n") == [
+            (parse_formula("0 = 0"), parse_formula("1 = 1"))
+        ]
 
 
 class TestPrinter:
