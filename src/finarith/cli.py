@@ -169,21 +169,30 @@ def _cmd_tower(args):
     }]
 
 
+def _parse_sentence(text):
+    f = parse_formula(text)
+    if free_variables(f):
+        raise FinarithError(f"formula has free variables: {sorted(free_variables(f))}")
+    return f
+
+
 def _quantifier_trace(m, f):
-    """Top-level chain of quantifier witnesses/counterexamples explaining
-    the truth value: at each level, the element that decided it.  E has a
-    witness iff it holds, A a counterexample iff it fails."""
+    """(truth of the sentence f, its top-level chain of quantifier
+    witnesses/counterexamples: at each level, the element that decided it).
+    E has a witness iff it holds, A a counterexample iff it fails."""
+    value = None
     steps = []
     assignment = {}
     while isinstance(f, (Forall, Exists)):
-        found = _decide(m, f, assignment, None)[1]
+        truth, found = _decide(m, f, assignment, None)
+        value = truth if value is None else value
         if found is None:
             break
         kind = "witness" if isinstance(f, Exists) else "counterexample"
         steps.append({"kind": kind, "var": f.var, "value": m.valuation(found)})
         assignment[f.var] = found
         f = f.body
-    return steps
+    return (eval_formula(m, f, {}) if value is None else value), steps
 
 
 def _cmd_eval(args):
@@ -193,21 +202,18 @@ def _cmd_eval(args):
     else:
         m = make_subset_world(_parse_subset(args.subset))
         spec = {"model": "subset", "elements": sorted(m)}
-    f = parse_formula(args.formula)
-    if free_variables(f):
-        raise FinarithError(f"formula has free variables: {sorted(free_variables(f))}")
-    value = eval_formula(m, f, {})
-    result = {"formula": print_formula(f), "value": value, **spec}
+    f = _parse_sentence(args.formula)
+    result = {"formula": print_formula(f), **spec}
     if args.trace:
-        result["trace"] = _quantifier_trace(m, f)
+        result["value"], result["trace"] = _quantifier_trace(m, f)
+    else:
+        result["value"] = eval_formula(m, f, {})
     return 0, [result]
 
 
 def _cmd_modal_eval(args):
     sys_, spec = _make_system(args)
-    f = parse_formula(args.formula)
-    if free_variables(f):
-        raise FinarithError(f"formula has free variables: {sorted(free_variables(f))}")
+    f = _parse_sentence(args.formula)
     value, decider = sys_.decide(args.world, f)
     result = {"formula": print_formula(f), "world": args.world, "value": value, **spec}
     if value and isinstance(f, Possibly):

@@ -11,9 +11,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DomainError, EvalError
-from .logic import (
-    eval_formula, free_variables, induction_instance, is_first_order, print_formula,
-)
+from .logic import eval_formula, free_variables, is_first_order, print_formula
 
 
 class PartialStructure:
@@ -250,22 +248,33 @@ def sample_elements(m, count, rng):
     return [m.element(v) for v in sorted(vals)]
 
 
-def sampled_induction_fails(m, phi, v, elements):
-    """One-sided verdict on the induction instance of phi in v from sampled
-    elements: it fails iff phi(0) holds, every sampled step phi(a) ->
-    phi(a + 1) holds, and some sampled element falsifies phi.  A pass is
-    evidence, not a proof."""
-    if m.zero is None or not eval_formula(m, phi, {v: m.zero}):
+def induction_variable(phi):
+    """The one free variable of an induction formula phi, or EvalError."""
+    fv = sorted(free_variables(phi))
+    if len(fv) != 1:
+        raise EvalError(f"induction formula must have exactly one free variable, got {fv}")
+    return fv[0]
+
+
+def induction_fails(m, phi, v, elements):
+    """Whether logic.induction_instance(phi, v) fails in m, judged on
+    elements: phi(0) holds, phi(a) -> phi(a + 1) holds at every a in
+    elements below N, and some a in elements falsifies phi.  Exact given
+    every element of m.  Given a sample it proves nothing either way: a
+    pass can miss a falsifier outside the sample, and a failure is spurious
+    when the step that breaks the chain from 0 lies outside it.  An
+    undefined 0 or a + 1 is assigned as None, which the evaluator reads as
+    an undefined term, as it reads the instance's."""
+    top = m.largest
+    if not eval_formula(m, phi, {v: m.zero}):
         return False
-    concl_ok = True
+    falsified = False
     for a in elements:
         if not eval_formula(m, phi, {v: a}):
-            concl_ok = False
-            continue
-        s = m.succ(a)
-        if s is not None and not eval_formula(m, phi, {v: s}):
+            falsified = True
+        elif top is not None and m.less(a, top) and not eval_formula(m, phi, {v: m.succ(a)}):
             return False
-    return not concl_ok
+    return falsified
 
 
 def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
@@ -274,8 +283,11 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     Groups: (order) discrete linear order with endpoints 0 and top;
     (successor) defined exactly below the top; (arithmetic) the directed
     recursion identities for + and * in the Kleene sense; (induction) each
-    corpus formula's induction instance evaluates true.  Pair sweeps run
-    exhaustively while size**2 <= budget and by seeded sampling above that.
+    corpus formula's induction instance holds, decided by induction_fails
+    on the swept elements.  Sweeps run exhaustively while size**2 <= budget
+    and by seeded sampling above that.  An exhaustive induction verdict is
+    exact; a sampled one is evidence only, wrong in either direction when
+    the sample misses the deciding element (see induction_fails).
     """
     if budget < 0:
         raise ValueError("budget must be at least 0")
@@ -283,9 +295,9 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     for phi in induction_corpus:
         if not is_first_order(phi):
             raise EvalError(f"induction corpus formula is not first-order: {print_formula(phi)}")
+    induction_vars = [induction_variable(phi) for phi in induction_corpus]
     rng = random.Random(seed)
-    size = m.size()
-    exhaustive = size * size <= budget
+    exhaustive = m.size() ** 2 <= budget
     mode = "exhaustive" if exhaustive else "sampled"
     try:
         top = m.order_max()
@@ -389,26 +401,14 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
                 break
     groups["arithmetic"] = GroupResult("arithmetic", not fails, mode, fails)
 
-    # Induction: each corpus formula's induction instance evaluates true.
-    # The instance's step ranges below N, so without N (reported in the
-    # order group) it ranges over nothing and no instance is evaluated.
+    # Induction: each corpus formula's induction instance holds on the swept
+    # elements.  The instance's step ranges below N, so without N (reported
+    # in the order group) it ranges over nothing and no instance is judged.
     fails = []
-    for phi in induction_corpus:
-        fv = sorted(free_variables(phi))
-        if len(fv) != 1:
-            raise EvalError(
-                f"induction corpus formula must have exactly one free variable, got {fv}"
-            )
-        v = fv[0]
-        if m.largest is None:
-            continue
-        if exhaustive and size <= 4096:
-            inst = induction_instance(phi, v)
-            if not eval_formula(m, inst, {}):
+    if m.largest is not None:
+        for phi, v in zip(induction_corpus, induction_vars):
+            if induction_fails(m, phi, v, elements):
                 fails.append(f"induction instance fails for {print_formula(phi)}")
-            continue
-        if sampled_induction_fails(m, phi, v, elements):
-            fails.append(f"induction instance fails for {print_formula(phi)}")
     groups["induction"] = GroupResult("induction", not fails, mode, fails)
 
     return AxiomReport(passed=all(g.passed for g in groups.values()), groups=groups)

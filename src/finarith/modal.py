@@ -203,11 +203,7 @@ def arbitrary_set_system(h):
         subsets.append(tuple(x for x in range(h + 1) if mask >> x & 1))
     worlds = [SubsetWorld(s) for s in subsets]
     ids = [_subset_id(s) for s in subsets]
-    masks = list(range(count))
-    access = [
-        frozenset(j for j in masks if mask & masks[j] == mask)
-        for mask in masks
-    ]
+    access = [frozenset(j for j in range(count) if mask & j == mask) for mask in range(count)]
     return PotentialistSystem(
         worlds, ids, access, limit=Truncation(h) if h >= 1 else SubsetWorld(range(h + 1)),
         validate=False,
@@ -276,15 +272,18 @@ def check_translation_theorem(sys, corpus):
     except ValueError as exc:
         raise EvalError(f"translation theorem requires the convergence condition: {exc}") from exc
 
+    corpus = list(corpus)  # checked, then evaluated: read it once
+    for psi in corpus:
+        if not is_first_order(psi):
+            raise EvalError(f"corpus sentence is not first-order: {print_formula(psi)}")
+        if free_variables(psi):
+            raise EvalError(f"corpus sentence is not closed: {print_formula(psi)}")
+
     results = []
     violations = []
     skipped = []
     for psi in corpus:
         text = print_formula(psi)
-        if not is_first_order(psi):
-            raise EvalError(f"corpus sentence is not first-order: {text}")
-        if free_variables(psi):
-            raise EvalError(f"corpus sentence is not closed: {text}")
         if contains_constN(psi):
             skipped.append(text)
             continue

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 import finarith.cli as cli
+import finarith.logic as logic
 import finarith.modal as modal
 from finarith.cli import main
 from finarith.logic import parse_formula
@@ -135,6 +136,25 @@ class TestReportContent:
         result = record["results"][0]
         assert result["value"] is False
         assert result["trace"][0] == {"kind": "counterexample", "var": "a", "value": 10}
+
+    @pytest.mark.parametrize("trace,calls", [(True, 41), (False, 22)])
+    def test_eval_evaluates_the_top_level_once(self, monkeypatch, trace, calls):
+        # With --trace the value is the first level's verdict: the only
+        # evaluation is the trace's own scans.
+        count = []
+        real = logic._eval
+
+        def counting(*args):
+            count.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(logic, "_eval", counting)
+        text = "E x < N. A y < N. (x * y = 0 | Def(x + y))"
+        code, out = run(["--format", "json", "eval", "--trunc", "10"]
+                        + ["--trace"] * trace + [text])
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"] is True
+        assert len(count) == calls
 
     def test_modal_eval_witness_world(self):
         _, out = run(GOLDEN_CASES["modal_eval"])

@@ -9,10 +9,12 @@ from finarith.core import (
     make_subset_world, make_truncation, sample_elements,
 )
 from finarith.corpus import load_packaged_formulas, load_packaged_pairs
-from finarith.errors import DomainError
-from finarith.interp import build_plus_model, build_tower, check_bounded_induction
+from finarith.errors import DomainError, EvalError
+from finarith.interp import Tower, build_plus_model, build_tower, check_bounded_induction
 from finarith.logic import parse_formula
-from finarith.modal import SCHEMAS, check_schema, fork_system
+from finarith.modal import (
+    SCHEMAS, aristotelian_system, check_schema, check_translation_theorem, fork_system,
+)
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +26,26 @@ class LoopingSuccessor(Truncation):
     # 1 + 1 = 1: counting up from 0 never leaves {0, 1}.
     def _plus(self, a, b):
         return 1 if (a, b) == (1, 1) else super()._plus(a, b)
+
+
+class CountingTruncation(Truncation):
+    """Counts the order and arithmetic queries made of it."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.queries = 0
+
+    def less(self, a, b):
+        self.queries += 1
+        return super().less(a, b)
+
+    def _plus(self, a, b):
+        self.queries += 1
+        return super()._plus(a, b)
+
+    def _times(self, a, b):
+        self.queries += 1
+        return super()._times(a, b)
 
 
 class TestTruncation:
@@ -154,9 +176,25 @@ class TestAxiomChecks:
         assert report.groups["induction"].passed
 
 
+class TestCorpusErrorsComeFirst:
+    def test_axioms_reject_an_induction_formula_before_any_sweep(self):
+        m = CountingTruncation(300)
+        corpus = [parse_formula("x = x"), parse_formula("x = y")]
+        with pytest.raises(EvalError, match="exactly one free variable"):
+            check_fa_axioms(m, corpus)
+        assert m.queries == 0
+
+    def test_bounded_induction_rejects_before_any_stage(self):
+        stage = CountingTruncation(12)
+        corpus = [parse_formula("x + 0 = x"), parse_formula("x + y = y + x")]
+        with pytest.raises(EvalError, match="exactly one free variable"):
+            check_bounded_induction(Tower(stages=[stage], heights=[12]), corpus)
+        assert stage.queries == 0
+
+
 # Each check validates its argument before evaluating it, so it must read a
 # one-shot iterable once.  Every case reports something the empty argument
-# does not: failures, or induction and absoluteness records.
+# does not: failures, results, or induction and absoluteness records.
 ONE_SHOT_CASES = {
     "check_schema": (
         lambda arg: check_schema(fork_system(), SCHEMAS["Dot2"], arg),
@@ -169,6 +207,10 @@ ONE_SHOT_CASES = {
     "check_bounded_induction": (
         lambda arg: check_bounded_induction(build_tower(make_truncation(12), 1), arg),
         lambda: [parse_formula("x + 0 = x"), parse_formula("E y < 1 + 1. y = 1")],
+    ),
+    "check_translation_theorem": (
+        lambda arg: check_translation_theorem(aristotelian_system(3), arg),
+        lambda: [parse_formula("E x. x = 1 + 1")],
     ),
 }
 

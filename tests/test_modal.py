@@ -276,6 +276,20 @@ class TestTranslationTheorem:
         with pytest.raises(EvalError):
             check_translation_theorem(fork_system(), [parse_formula("E x. x = x")])
 
+    def test_corpus_is_checked_before_any_evaluation(self, monkeypatch):
+        calls = []
+        real = PotentialistSystem.decide
+
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(PotentialistSystem, "decide", counting)
+        corpus = [parse_formula("E x. x = 1"), parse_formula("x = 1")]
+        with pytest.raises(EvalError, match="not closed: x = 1"):
+            check_translation_theorem(aristotelian_system(3), corpus)
+        assert calls == []
+
     def test_non_convergent_system_names_the_failed_condition(self):
         worlds = [SubsetWorld({0}), SubsetWorld({0, 1})]
         system = PotentialistSystem(

@@ -1,14 +1,20 @@
 """Property-based checks: oracle equalities and algebraic laws."""
+import functools
+import operator
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finarith.core import make_truncation
+from finarith.core import SubsetWorld, make_truncation
+from finarith.corpus import load_packaged_pairs
 from finarith.interp import InterpParams, InterpretedModel, build_plus_model
 from finarith.logic import (
     Var, eval_formula, eval_term, free_variables, parse_formula, parse_term,
     print_formula, substitute,
+)
+from finarith.modal import (
+    SCHEMAS, check_schema, frame_properties, load_system, search_dot3_counterexample,
 )
 
 heights = st.integers(min_value=1, max_value=60)
@@ -182,3 +188,65 @@ def test_plus_model_element_valuation_inverse():
     for _ in range(200):
         v = rng.randrange(mp.size())
         assert mp.valuation(mp.element(v)) == v
+
+
+# --- random potentialist systems ---
+
+@st.composite
+def subset_families(draw):
+    """(domains, access pairs) of at most four subset worlds over {0..3}.
+    Half the draws take access along domain inclusion, a valid system; a
+    world holding every other world's elements makes its frame directed.
+    The rest take random pairs, some closed reflexively, some transitively,
+    with some domains grown by every domain below them."""
+    masks = draw(st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True))
+    if len(masks) < 4 and draw(st.booleans()):
+        masks.append(functools.reduce(operator.or_, masks))
+    domains = [{x for x in range(4) if mask >> x & 1} for mask in masks]
+    n = len(domains)
+    if draw(st.booleans()):
+        return domains, {(i, j) for i in range(n) for j in range(n) if domains[i] <= domains[j]}
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    if draw(st.booleans()):
+        pairs |= {(i, i) for i in range(n)}
+    if draw(st.booleans()):
+        for k in range(n):  # Warshall
+            pairs |= {(i, j) for i in range(n) for j in range(n)
+                      if (i, k) in pairs and (k, j) in pairs}
+    if draw(st.booleans()):
+        for _ in range(n):  # along paths, so only the pairs decide validity
+            domains = [
+                set().union(d, *(domains[i] for i in range(n) if (i, j) in pairs))
+                for j, d in enumerate(domains)
+            ]
+    return domains, pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(subset_families())
+def test_random_systems_match_the_frame_definitions(family):
+    domains, pairs = family
+    n = len(domains)
+    up = [{j for j in range(n) if (i, j) in pairs} for i in range(n)]
+    # Subset worlds carry the true + and * of their elements, so domain
+    # inclusion along access is all the extension condition asks.
+    valid = (
+        all(i in up[i] for i in range(n))
+        and all(up[j] <= up[i] for i in range(n) for j in up[i])
+        and all(domains[i] <= domains[j] for i, j in pairs)
+    )
+    try:
+        system = load_system([SubsetWorld(d) for d in domains], [str(i) for i in range(n)], pairs)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+
+    directed = all(up[v] & up[w] for i in range(n) for v in up[i] for w in up[i])
+    linear = all(v in up[w] or w in up[v] for i in range(n) for v in up[i] for w in up[i])
+    report = frame_properties(system)
+    assert (report.directed, report.linear) == (directed, linear)
+    if linear:
+        assert search_dot3_counterexample(system, generator_budget=50) is None
+    if directed:
+        assert check_schema(system, SCHEMAS["Dot2"], load_packaged_pairs("schema_instances.fml")) == []
