@@ -24,8 +24,8 @@ from .core import (
 )
 from .errors import AdmissibilityError, DomainError, EvalError
 from .logic import (
-    Exists, Forall, _nodes, eval_formula, eval_term, free_variables, is_delta0,
-    print_formula,
+    Exists, Forall, _decide, _nodes, eval_formula, eval_term, free_variables,
+    is_delta0, print_formula,
 )
 
 
@@ -263,25 +263,16 @@ def build_plus_model(m, width=5, base=None):
 
 def embed_initial(m, m_plus):
     """The initial-segment embedding of m into m_plus, as a function that
-    raises DomainError for an argument outside m.  x below b*b maps to the
-    two-digit string (x div b, x mod b); the at most 2b elements above get
-    a 1 in the third-lowest digit.  Value-, order- and operation-preserving
-    with downward-closed image."""
+    raises DomainError for an argument outside m: x goes to the digit
+    string with x's value, so 73 goes to 00073 in base 10.  Value-, order-
+    and operation-preserving with downward-closed image."""
     if m_plus.ground is not m:
         raise DomainError("lifted model was not built from this ground model")
-    bv = m_plus.base_value
-    k = m_plus.width
 
     def embed(x):
         if x not in m:
             raise DomainError(f"{x!r} is not in the embedded model")
-        v = m.valuation(x)
-        if v < bv * bv:
-            c, (d, e) = 0, divmod(v, bv)
-        else:
-            c, (d, e) = 1, divmod(v - bv * bv, bv)
-        idx = (0,) * (k - 3) + (c, d, e)
-        return DigitString(m_plus, idx)
+        return m_plus.element(m.valuation(x))
 
     return embed
 
@@ -341,18 +332,12 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
     checks["embedded_copy_isomorphic"] = ok
 
     # (ii) each lifted element is rebuilt, inside the lifted model, from its
-    # digit images and the image of b: fold acc -> acc * e(b) + e(digit).
+    # digit images and the image of b.
     eb = e(m_plus.base)
     strings = list(m_plus) if m_plus.size() <= 4096 else sample_elements(m_plus, 258, rng)
     ok = True
     for s in strings:
-        acc = e(m.zero)
-        for d in s.digits:
-            acc = m_plus.times(acc, eb)
-            acc = None if acc is None else m_plus.plus(acc, e(d))
-            if acc is None:
-                break
-        if acc != s:
+        if _fold_digits(m_plus, map(e, s.digits), eb) != s:
             ok = False
             failures.append(f"digit representation does not rebuild {s!r}")
             break
@@ -360,21 +345,9 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
 
     # (iii) round trip: the digits of e(x) recombine to x inside the ground
     # model itself.
-    b = m_plus.base
     ok = True
     for x in ground_elems:
-        ds = images[x].digits
-        c, d, e_dig = ds[-3], ds[-2], ds[-1]
-        if any(m.valuation(z) != 0 for z in ds[:-3]):
-            ok = False
-            failures.append(f"embedding of {x!r} uses more than three digits")
-            break
-        low = m.times(d, b)
-        low = None if low is None else m.plus(low, e_dig)
-        if m.valuation(c) == 1:
-            sq = m.times(b, b)
-            low = None if low is None or sq is None else m.plus(sq, low)
-        if low != x:
+        if _fold_digits(m, images[x].digits, m_plus.base) != x:
             ok = False
             failures.append(f"round trip fails at {x!r}")
             break
@@ -383,16 +356,25 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
     return BiinterpReport(passed=all(checks.values()), checks=checks, failures=failures)
 
 
+def _fold_digits(model, digits, base):
+    """acc * base + d over digits, most significant first, from zero and
+    inside model; None once an operation is undefined."""
+    acc = model.zero
+    for d in digits:
+        acc = model.times(acc, base)
+        acc = None if acc is None else model.plus(acc, d)
+        if acc is None:
+            return None
+    return acc
+
+
 def verify_induction_lex(m_plus, phi):
     """The lexically least string falsifying phi, or None when phi holds
-    everywhere: one scan of m_plus in its iteration order, which is
-    lexical (most significant digit first), stopping at the first
-    falsifier."""
+    everywhere: the counterexample of A v. phi found by the binder scan,
+    whose iteration order over m_plus is lexical (most significant digit
+    first)."""
     v = induction_variable(phi)
-    for s in m_plus:
-        if not eval_formula(m_plus, phi, {v: s}):
-            return s
-    return None
+    return _decide(m_plus, Forall(v, None, phi), {}, None)[1]
 
 
 # --- towers ---

@@ -2,16 +2,19 @@
 
 Terms over {+, *, 0, 1, N} with S(.) as successor sugar; atoms for equality,
 order, definedness, and the operation graphs; bounded and unbounded
-quantifiers; modal operators dia/box.  Includes a recursive-descent parser
-for the ASCII grammar, a precedence-aware printer, and a two-valued
-evaluator over any PartialStructure using the negative convention: an atom
-with an undefined term is false, with Def(.) as the explicit definedness
-atom.
+quantifiers; modal operators dia/box.  Includes a precedence-climbing
+parser for the ASCII grammar, a printer that writes the fewest parentheses
+the grammar needs, and a two-valued evaluator over any PartialStructure
+using the negative convention: an atom with an undefined term is false,
+with Def(.) as the explicit definedness atom.
 
 The structural helpers, here and in ``modal`` and ``interp``, share one
 traversal: _children lists a node's subterms and subformulas, _rebuild
 copies a node with a function applied to them, and _nodes walks a tree.
-Only the parser, the printer and the evaluator have a case per node kind.
+Only the evaluator has a case per node kind.  The parser and the printer
+have a case per kind of syntax instead, and read the symbols, precedence
+levels and associativity of the language from one set of tables, under
+"Concrete syntax" below.
 
 _decide is the one binder scan: it decides E/A over a quantifier's range
 and hands dia/box to the modal callback, reporting what decided each; the
@@ -266,11 +269,44 @@ def induction_instance(f, var):
     return Implies(And(base, step), Forall(var, None, f))
 
 
+# --- Concrete syntax ---
+
+# The one statement of the ASCII grammar; the parser and the printer both
+# read it.  Binary operators are listed loosest first, and a binary node's
+# precedence level is its index in its list.  Prefixes bind tighter than
+# every binary formula operator, and a quantifier's scope extends as far
+# right as possible.  A named form takes one term argument per field of its
+# class: Plus(a, b, c).
+_CONSTANTS = {"0": Const0, "1": Const1, "N": ConstN}
+_NAMED_TERMS = {"S": Succ}
+_NAMED_ATOMS = {"Def": Defined, "Plus": PlusAtom, "Times": TimesAtom}
+_RELATIONS = {"=": Eq, "<": Lt}
+_PREFIXES = {"!": Not, "dia": Possibly, "box": Necessarily}
+_BINDERS = {"A": Forall, "E": Exists}
+_BOUND = "<"  # A v < t. phi: v ranges over the elements below t
+_FORMULA_OPS = {"->": Implies, "|": Or, "&": And}
+_TERM_OPS = {"+": Sum, "*": Prod}
+_RIGHT_NESTED = {Implies}
+
+_PREFIX_LEVEL = len(_FORMULA_OPS)  # one past the tightest binary formula operator
+_LEVEL = {cls: i for ops in (_FORMULA_OPS, _TERM_OPS) for i, cls in enumerate(ops.values())}
+_SPELLING = {
+    cls: sym
+    for table in (_CONSTANTS, _NAMED_TERMS, _NAMED_ATOMS, _RELATIONS,
+                  _PREFIXES, _BINDERS, _FORMULA_OPS, _TERM_OPS)
+    for sym, cls in table.items()
+}
+
+
 # --- Parser ---
 
 _TOKEN_RE = re.compile(r"\s*(->|[()+*=<!&|.,]|[A-Za-z][A-Za-z0-9_]*|[01])")
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-_KEYWORDS = {"dia", "box"}
+_KEYWORDS = {sym for sym in _SPELLING.values() if _VAR_RE.match(sym)}
+
+
+def _is_variable(tok):
+    return _VAR_RE.match(tok) is not None and tok not in _KEYWORDS
 
 
 def _tokenize(text):
@@ -312,151 +348,102 @@ class _Parser:
             raise ParseError(f"expected {tok!r}, found {self.peek()!r}", self.pos())
         self.i += 1
 
-    # formulas
-    def formula(self):
-        left = self.or_formula()
-        if self.peek() == "->":
-            self.next()
-            return Implies(left, self.formula())
-        return left
-
-    def or_formula(self):
-        left = self.and_formula()
-        while self.peek() == "|":
-            self.next()
-            left = Or(left, self.and_formula())
-        return left
-
-    def and_formula(self):
-        left = self.unary()
-        while self.peek() == "&":
-            self.next()
-            left = And(left, self.unary())
+    def binary(self, ops, level=0):
+        """Precedence climbing over _FORMULA_OPS or _TERM_OPS: an operand,
+        then each operator of ops whose level is at least level, with its
+        right operand, which takes only tighter operators, or equal ones
+        too when the operator is right-nested."""
+        operand = self.unary if ops is _FORMULA_OPS else self.factor
+        left = operand()
+        while (cls := ops.get(self.peek())) is not None and _LEVEL[cls] >= level:
+            self.i += 1
+            left = cls(left, self.binary(ops, _LEVEL[cls] + (cls not in _RIGHT_NESTED)))
         return left
 
     def unary(self):
         tok = self.peek()
-        if tok == "!":
-            self.next()
-            return Not(self.unary())
-        if tok == "dia":
-            self.next()
-            return Possibly(self.unary())
-        if tok == "box":
-            self.next()
-            return Necessarily(self.unary())
-        if tok in ("A", "E"):
-            self.next()
+        if tok in _PREFIXES:
+            self.i += 1
+            return _PREFIXES[tok](self.unary())
+        if tok in _BINDERS:
+            self.i += 1
             name = self.next()
-            if not _VAR_RE.match(name) or name in _KEYWORDS:
+            if not _is_variable(name):
                 raise ParseError(f"invalid variable name {name!r}", self.pos())
             bound = None
-            if self.peek() == "<":
-                self.next()
-                bound = self.term()
+            if self.peek() == _BOUND:
+                self.i += 1
+                bound = self.binary(_TERM_OPS)
             self.expect(".")
-            body = self.formula()  # quantifier scope extends maximally right
-            return (Forall if tok == "A" else Exists)(name, bound, body)
-        return self.primary()
-
-    def primary(self):
-        tok = self.peek()
-        if tok == "Def":
-            self.next()
-            self.expect("(")
-            t = self.term()
-            self.expect(")")
-            return Defined(t)
-        if tok in ("Plus", "Times"):
-            self.next()
-            self.expect("(")
-            a = self.term()
-            self.expect(",")
-            b = self.term()
-            self.expect(",")
-            c = self.term()
-            self.expect(")")
-            return (PlusAtom if tok == "Plus" else TimesAtom)(a, b, c)
+            body = self.binary(_FORMULA_OPS)  # the scope extends as far right as possible
+            return _BINDERS[tok](name, bound, body)
+        if tok in _NAMED_ATOMS:
+            return self.named(_NAMED_ATOMS[tok])
         if tok == "(":
             # Ambiguous: a parenthesized term opening an atom, or a
             # parenthesized formula.  Try the atom reading first.
             save = self.i
             try:
-                return self.relational_atom()
+                return self.relation()
             except ParseError:
                 self.i = save
-            self.next()
-            f = self.formula()
+            self.i += 1
+            f = self.binary(_FORMULA_OPS)
             self.expect(")")
             return f
-        return self.relational_atom()
+        return self.relation()
 
-    def relational_atom(self):
-        left = self.term()
-        tok = self.peek()
-        if tok == "=":
-            self.next()
-            return Eq(left, self.term())
-        if tok == "<":
-            self.next()
-            return Lt(left, self.term())
-        raise ParseError(f"expected '=' or '<', found {tok!r}", self.pos())
-
-    # terms
-    def term(self):
-        left = self.prod_term()
-        while self.peek() == "+":
-            self.next()
-            left = Sum(left, self.prod_term())
-        return left
-
-    def prod_term(self):
-        left = self.factor()
-        while self.peek() == "*":
-            self.next()
-            left = Prod(left, self.factor())
-        return left
+    def relation(self):
+        left = self.binary(_TERM_OPS)
+        cls = _RELATIONS.get(self.peek())
+        if cls is None:
+            expected = " or ".join(map(repr, _RELATIONS))
+            raise ParseError(f"expected {expected}, found {self.peek()!r}", self.pos())
+        self.i += 1
+        return cls(left, self.binary(_TERM_OPS))
 
     def factor(self):
         tok = self.peek()
-        if tok == "0":
-            self.next()
-            return Const0()
-        if tok == "1":
-            self.next()
-            return Const1()
-        if tok == "N":
-            self.next()
-            return ConstN()
-        if tok == "S":
-            self.next()
-            self.expect("(")
-            t = self.term()
-            self.expect(")")
-            return Succ(t)
+        if tok in _CONSTANTS:
+            self.i += 1
+            return _CONSTANTS[tok]()
+        if tok in _NAMED_TERMS:
+            return self.named(_NAMED_TERMS[tok])
         if tok == "(":
-            self.next()
-            t = self.term()
+            self.i += 1
+            t = self.binary(_TERM_OPS)
             self.expect(")")
             return t
-        if tok is not None and _VAR_RE.match(tok) and tok not in _KEYWORDS:
-            self.next()
+        if tok is not None and _is_variable(tok):
+            self.i += 1
             return Var(tok)
         raise ParseError(f"expected a term, found {tok!r}", self.pos())
 
+    def named(self, cls):
+        """The named form at the current token: its name, then one term
+        per field of cls, comma-separated in parentheses."""
+        self.i += 1
+        self.expect("(")
+        args = [self.binary(_TERM_OPS)]
+        for _ in cls.__match_args__[1:]:
+            self.expect(",")
+            args.append(self.binary(_TERM_OPS))
+        self.expect(")")
+        return cls(*args)
+
 
 def parse_formula(text):
-    return _parse(text, _Parser.formula)
+    return _parse(text, _FORMULA_OPS)
 
 
 def parse_term(text):
-    return _parse(text, _Parser.term)
+    return _parse(text, _TERM_OPS)
 
 
-def _parse(text, rule):
+def _parse(text, ops):
     p = _Parser(text)
     try:
-        out = rule(p)
+        out = p.binary(ops)
     except RecursionError as exc:
         raise ParseError("input is nested too deeply", p.pos()) from exc
     if p.peek() is not None:
@@ -466,72 +453,62 @@ def _parse(text, rule):
 
 # --- Printer ---
 
-def print_term(t, _level=1):
-    # levels: 1 sum, 2 product, 3 atomic
-    match t:
-        case Var(name):
-            return name
-        case Const0():
-            return "0"
-        case Const1():
-            return "1"
-        case ConstN():
-            return "N"
-        case Succ(arg):
-            return f"S({print_term(arg)})"
-        case Sum(l, r):
-            s = f"{print_term(l, 1)} + {print_term(r, 2)}"
-            return f"({s})" if _level > 1 else s
-        case Prod(l, r):
-            s = f"{print_term(l, 2)} * {print_term(r, 3)}"
-            return f"({s})" if _level > 2 else s
-    raise TypeError(f"not a term: {t!r}")
+def print_term(t, _level=0):
+    """t as text; _level is the precedence level its context asks for, and
+    t is parenthesized when it binds more loosely."""
+    cls = type(t)
+    if cls is Var:
+        return t.name
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
+    if cls in _LEVEL:
+        return _print_binary(t, _level, print_term)
+    return _print_named(t)
 
 
-def _prefix_level(body, level):
-    # A quantifier after a prefix operator keeps its maximal-right scope, so
-    # it only needs parentheses the surrounding context would demand anyway.
-    return level if isinstance(body, (Forall, Exists)) else 4
+def print_formula(f, _level=0):
+    """f as text; _level is the precedence level its context asks for, and
+    f is parenthesized when it binds more loosely."""
+    cls = type(f)
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    if cls in _LEVEL:
+        return _print_binary(f, _level, print_formula)
+    sym = _SPELLING[cls]
+    if cls in _RELATIONS.values():
+        return f"{print_term(f.left)} {sym} {print_term(f.right)}"
+    if cls in _PREFIXES.values():
+        body = f.body
+        gap = " " if sym.isalpha() else ""  # dia Def(x), but !Def(x)
+        if not gap and type(body) in _RELATIONS.values():
+            return f"{sym}({print_formula(body)})"  # !(x = y), not !x = y
+        # A quantifier keeps its maximal-right scope, so it takes only the
+        # parentheses the surrounding context would demand anyway.
+        inner = _level if isinstance(body, _QUANTIFIERS) else _PREFIX_LEVEL
+        return f"{sym}{gap}{print_formula(body, inner)}"
+    if cls in _QUANTIFIERS:
+        bound = "" if f.bound is None else f" {_BOUND} {print_term(f.bound)}"
+        s = f"{sym} {f.var}{bound}. {print_formula(f.body)}"
+        return f"({s})" if _level > 0 else s
+    return _print_named(f)
 
 
-def print_formula(f, _level=1):
-    # levels: 1 implies (right assoc), 2 or, 3 and, 4 unary prefixes.
-    # Quantifiers scope maximally right, so they take parentheses in any
-    # context tighter than a whole implication.
-    match f:
-        case Eq(l, r):
-            return f"{print_term(l)} = {print_term(r)}"
-        case Lt(l, r):
-            return f"{print_term(l)} < {print_term(r)}"
-        case Defined(arg):
-            return f"Def({print_term(arg)})"
-        case PlusAtom(a, b, c):
-            return f"Plus({print_term(a)}, {print_term(b)}, {print_term(c)})"
-        case TimesAtom(a, b, c):
-            return f"Times({print_term(a)}, {print_term(b)}, {print_term(c)})"
-        case Not(body):
-            if isinstance(body, (Eq, Lt)):
-                return f"!({print_formula(body, 1)})"
-            return f"!{print_formula(body, _prefix_level(body, _level))}"
-        case Possibly(body):
-            return f"dia {print_formula(body, _prefix_level(body, _level))}"
-        case Necessarily(body):
-            return f"box {print_formula(body, _prefix_level(body, _level))}"
-        case And(l, r):
-            s = f"{print_formula(l, 3)} & {print_formula(r, 4)}"
-            return f"({s})" if _level > 3 else s
-        case Or(l, r):
-            s = f"{print_formula(l, 2)} | {print_formula(r, 3)}"
-            return f"({s})" if _level > 2 else s
-        case Implies(l, r):
-            s = f"{print_formula(l, 2)} -> {print_formula(r, 1)}"
-            return f"({s})" if _level > 1 else s
-        case Forall(v, bound, body) | Exists(v, bound, body):
-            q = "A" if isinstance(f, Forall) else "E"
-            b = "" if bound is None else f" < {print_term(bound)}"
-            s = f"{q} {v}{b}. {print_formula(body, 1)}"
-            return f"({s})" if _level > 1 else s
-    raise TypeError(f"not a formula: {f!r}")
+def _print_binary(node, level, show):
+    """The one rule for binary nodes: each side is printed by show at the
+    level this operator needs there, and the whole is parenthesized when
+    the context binds tighter than the operator."""
+    own = _LEVEL[type(node)]
+    right_nested = type(node) in _RIGHT_NESTED
+    s = (f"{show(node.left, own + right_nested)} {_SPELLING[type(node)]} "
+         f"{show(node.right, own + (not right_nested))}")
+    return f"({s})" if level > own else s
+
+
+def _print_named(node):
+    """A constant, or a named form with its term arguments."""
+    args = _children(node)
+    sym = _SPELLING[type(node)]
+    return f"{sym}({', '.join(map(print_term, args))})" if args else sym
 
 
 # --- Evaluation ---

@@ -224,8 +224,12 @@ def load_system(worlds, ids, access_pairs, limit=None):
     """Build a system from an explicit edge list; the preorder, extension,
     and (when a limit is given) convergence conditions are validated."""
     n = len(worlds)
+    pairs = list(access_pairs)
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"access pair ({i}, {j}) out of range for {n} worlds")
     access = [set() for _ in range(n)]
-    for i, j in access_pairs:
+    for i, j in pairs:
         access[i].add(j)
     return PotentialistSystem(worlds, ids, access, limit=limit, validate=True)
 

@@ -75,6 +75,22 @@ class TestExitCodes:
         code, _ = run(["lift", "--n", "8"])
         assert code == 2
 
+    def test_base_two_lift_passes(self):
+        # 8 is 1000 in base 2: four digits.
+        code, output = run(["--format", "json", "lift", "--n", "8", "--width", "7"])
+        assert code == 0
+        assert json.loads(output)["results"][0]["checks"] == {
+            "embedded_copy_isomorphic": True,
+            "representation_identity": True,
+            "round_trip_identity": True,
+        }
+
+    def test_lift_exit_codes_over_a_grid(self):
+        for n in range(1, 17):
+            for width in range(2, 9):
+                code, _ = run(["lift", "--n", str(n), "--width", str(width)])
+                assert code in (0, 1, 2), (n, width)
+
     def test_parse_error_is_two(self):
         code, _ = run(["eval", "--trunc", "10", "A a. ("])
         assert code == 2

@@ -1,4 +1,6 @@
 """Parser, printer, and first-order evaluation of the formula language."""
+import threading
+
 import pytest
 
 from finarith.core import make_subset_world, make_truncation
@@ -21,6 +23,32 @@ class TestParser:
     def test_deep_term_nesting_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_term("(" * 3000 + "0" + ")" * 3000)
+
+    @pytest.mark.parametrize("make, floor", [
+        (lambda n: "!" * n + "0 = 0", 983),
+        (lambda n: "(" * n + "0 = 0" + ")" * n, 196),
+        (lambda n: "E x. " * n + "x = 0", 245),
+    ], ids=["negation", "parentheses", "quantifiers"])
+    def test_nesting_depth_floor(self, make, floor):
+        # The floors are the deepest inputs an earlier parser with one
+        # method per precedence level accepted at the default recursion
+        # limit.  A fresh thread starts with an empty stack, so the depth
+        # reached does not depend on the test runner's frames.
+        accepted = []
+
+        def parse_both():
+            for n in (floor, 3000):
+                try:
+                    parse_formula(make(n))
+                    accepted.append(n)
+                except ParseError:
+                    pass
+
+        thread = threading.Thread(target=parse_both)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert accepted == [floor]
 
     def test_successor_sentence(self):
         f = parse_formula("A a. E b. b = a + 1")

@@ -60,6 +60,17 @@ class TestConstruction:
                 worlds, ["a", "b"], [(0, 0), (1, 1), (0, 1)]
             )  # 3 is lost along 0 -> 1
 
+    @pytest.mark.parametrize("worlds, pairs, bad", [
+        ([{0}, {0, 1}], [(0, 0), (1, 1), (-2, 1)], (-2, 1)),  # was read as (0, 1)
+        ([{0}], [(0, 0), (3, 0)], (3, 0)),  # was a bare IndexError
+        ([{0}, {0, 1}], [(0, 0), (1, 1), (0, -1)], (0, -1)),
+        ([{0}], [(0, 0), (0, 1)], (0, 1)),
+    ])
+    def test_ad_hoc_loader_range_checks_both_ends_of_a_pair(self, worlds, pairs, bad):
+        ids = [str(i) for i in range(len(worlds))]
+        with pytest.raises(ValueError, match=rf"^access pair \({bad[0]}, {bad[1]}\) out of range"):
+            load_system([SubsetWorld(w) for w in worlds], ids, pairs)
+
     def test_resolve(self, ari30):
         assert ari30.resolve("10") == 9
         assert ari30.resolve(9) == 9

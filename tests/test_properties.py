@@ -3,18 +3,19 @@ import functools
 import operator
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from finarith.core import SubsetWorld, make_truncation
-from finarith.corpus import load_packaged_pairs
+from finarith.core import SubsetWorld, Truncation, make_truncation
+from finarith.corpus import load_packaged_formulas, load_packaged_pairs
 from finarith.interp import InterpParams, InterpretedModel, build_plus_model
 from finarith.logic import (
     Var, eval_formula, eval_term, free_variables, parse_formula, parse_term,
     print_formula, substitute,
 )
 from finarith.modal import (
-    SCHEMAS, check_schema, frame_properties, load_system, search_dot3_counterexample,
+    SCHEMAS, check_schema, check_translation_theorem, frame_properties, load_system,
+    search_dot3_counterexample,
 )
 
 heights = st.integers(min_value=1, max_value=60)
@@ -250,3 +251,21 @@ def test_random_systems_match_the_frame_definitions(family):
         assert search_dot3_counterexample(system, generator_budget=50) is None
     if directed:
         assert check_schema(system, SCHEMAS["Dot2"], load_packaged_pairs("schema_instances.fml")) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(subset_families())
+def test_translation_theorem_on_random_convergent_systems(family):
+    # The limit is the union of the worlds: a truncation when that is an
+    # initial segment {0..h} with 1 in it, a subset world otherwise.
+    domains, pairs = family
+    union = set().union(*domains)
+    h = max(union, default=0)
+    limit = Truncation(h) if h >= 1 and union == set(range(h + 1)) else SubsetWorld(union)
+    ids = [str(i) for i in range(len(domains))]
+    try:
+        system = load_system([SubsetWorld(d) for d in domains], ids, pairs, limit=limit)
+    except ValueError:
+        assume(False)
+    report = check_translation_theorem(system, load_packaged_formulas("translation.fml"))
+    assert report.passed, report.violations
