@@ -8,6 +8,9 @@ the grammar needs, and a two-valued evaluator over any PartialStructure
 using the negative convention: an atom with an undefined term is false,
 with Def(.) as the explicit definedness atom.
 
+Every term and formula class is a frozen, slotted dataclass built on _Node,
+which keeps a node's structural hash and free variables once computed.
+
 The structural helpers, here and in ``modal`` and ``interp``, share one
 traversal: _children lists a node's subterms and subformulas, _rebuild
 copies a node with a function applied to them, and _nodes walks a tree.
@@ -28,41 +31,77 @@ from dataclasses import dataclass
 from .errors import EvalError, ParseError, WrongEvaluatorError
 
 
+# --- Nodes ---
+
+class _Node:
+    """The base of every term and formula class.
+
+    A node computes its structural hash on first use and keeps it, so a
+    memo key holding a formula hashes in O(1) after the formula's first
+    hash.  It also keeps its free variables once free_variables has found
+    them.  Neither cache travels through pickle, copy or
+    dataclasses.replace: __reduce__ rebuilds a node from its fields, so a
+    node loaded in another process, where str hashes differ, hashes
+    afresh there.
+    """
+
+    __slots__ = ("_hash", "_free")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((type(self), *map(self.__getattribute__, self.__match_args__)))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
+
+
+def _node(cls):
+    """A frozen, slotted dataclass of cls that keeps _Node's cached hash in
+    place of the recursive one dataclass writes."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = _Node.__hash__
+    return cls
+
+
 # --- Terms ---
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Const0:
+@_node
+class Const0(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Const1:
+@_node
+class Const1(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class ConstN:
+@_node
+class ConstN(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Succ:
+@_node
+class Succ(_Node):
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Sum:
+@_node
+class Sum(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Prod:
+@_node
+class Prod(_Node):
     left: "Term"
     right: "Term"
 
@@ -72,81 +111,81 @@ Term = Var | Const0 | Const1 | ConstN | Succ | Sum | Prod
 
 # --- Formulas ---
 
-@dataclass(frozen=True)
-class Eq:
+@_node
+class Eq(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Lt:
+@_node
+class Lt(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Defined:
+@_node
+class Defined(_Node):
     arg: Term
 
 
-@dataclass(frozen=True)
-class PlusAtom:
+@_node
+class PlusAtom(_Node):
     a: Term
     b: Term
     c: Term
 
 
-@dataclass(frozen=True)
-class TimesAtom:
+@_node
+class TimesAtom(_Node):
     a: Term
     b: Term
     c: Term
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@_node
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+@_node
+class Forall(_Node):
     var: str
     bound: Term | None
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@_node
+class Exists(_Node):
     var: str
     bound: Term | None
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Possibly:
+@_node
+class Possibly(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Necessarily:
+@_node
+class Necessarily(_Node):
     body: "Formula"
 
 
@@ -161,8 +200,8 @@ _MODALS = (Possibly, Necessarily)
 
 # --- Shared traversal ---
 
-# Fields are read through __match_args__: reading a node's __dict__ makes
-# CPython build and keep a dict for it, slowing later reads and hashes.
+# Fields are read through __match_args__, which lists them in order; nodes
+# are slotted and have no __dict__.
 
 def _children(node):
     """The subterms and subformulas of a term or formula, in field order;
@@ -195,22 +234,34 @@ def _nodes(node):
 # --- Structural helpers ---
 
 def free_variables(node):
-    """The variables of a term, or the free variables of a formula."""
-    # Type tests and skipping field-less children (constants) keep this as
-    # fast as a per-kind match; the modal evaluator runs it per dia/box body.
+    """The variables of a term, or the free variables of a formula, as a new
+    set.  They are found once per node and kept on it (see _free_vars)."""
+    return set(_free_vars(node))
+
+
+def _free_vars(node):
+    """The free variables of node as a sorted tuple, computed on first use
+    and kept in the node's _free slot.  The modal evaluator reads its memo
+    keys' assignment restrictions in this order."""
+    free = getattr(node, "_free", None)
+    if free is not None:
+        return free
     cls = type(node)
     if cls is Var:
-        return {node.name}
-    if cls in _QUANTIFIERS:
-        out = free_variables(node.body) - {node.var}
+        out = {node.name}
+    elif cls in _QUANTIFIERS:
+        out = set(_free_vars(node.body))
+        out.discard(node.var)
         if node.bound is not None:
-            out |= free_variables(node.bound)
-        return out
-    out = set()
-    for child in _children(node):
-        if child.__match_args__:
-            out |= free_variables(child)
-    return out
+            out.update(_free_vars(node.bound))
+    else:
+        out = set()
+        for child in _children(node):
+            if child.__match_args__:  # constants have no variables
+                out.update(_free_vars(child))
+    free = tuple(sorted(out))
+    object.__setattr__(node, "_free", free)
+    return free
 
 
 def is_first_order(f):
@@ -329,6 +380,11 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        # The ParseError of each parenthesized term that failed, by the
+        # index of its "(".  unary tries a term reading of every "(" that
+        # opens a formula; without this, nested parentheses would retry
+        # the same failed readings at every level, in quadratic time.
+        self.failed_terms = {}
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -410,9 +466,16 @@ class _Parser:
         if tok in _NAMED_TERMS:
             return self.named(_NAMED_TERMS[tok])
         if tok == "(":
+            start = self.i
+            if start in self.failed_terms:
+                raise self.failed_terms[start].with_traceback(None)
             self.i += 1
-            t = self.binary(_TERM_OPS)
-            self.expect(")")
+            try:
+                t = self.binary(_TERM_OPS)
+                self.expect(")")
+            except ParseError as exc:
+                self.failed_terms[start] = exc
+                raise
             return t
         if tok is not None and _is_variable(tok):
             self.i += 1
@@ -446,6 +509,8 @@ def _parse(text, ops):
         out = p.binary(ops)
     except RecursionError as exc:
         raise ParseError("input is nested too deeply", p.pos()) from exc
+    finally:
+        p.failed_terms.clear()  # the errors' tracebacks hold p; leave no cycle
     if p.peek() is not None:
         raise ParseError(f"trailing input {p.peek()!r}", p.pos())
     return out

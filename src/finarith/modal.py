@@ -9,7 +9,9 @@ larger world.  Everything but dia/box is evaluated by the first-order
 recursion of ``logic``.  dia/box follow the rule of E/A there, over
 accessible worlds instead of elements: logic._decide hands each dia/box
 node to the system, which returns (truth, deciding world) and memoizes the
-bodies of its dia/box nodes per world.
+bodies of its dia/box nodes per world.  The memo keys on formula structure;
+a formula node keeps its hash and its free variables once computed (see
+logic._Node), so a lookup hashes in O(1) after a body's first one.
 """
 from __future__ import annotations
 
@@ -21,8 +23,9 @@ from .core import SubsetWorld, Truncation
 from .errors import DomainError, EvalError
 from .logic import (
     And, Const0, Const1, Defined, Eq, Exists, Forall, Implies, Lt,
-    Necessarily, Not, Or, Possibly, _eval, _rebuild, contains_constN,
-    eval_formula, free_variables, is_first_order, print_formula,
+    Necessarily, Not, Or, Possibly, _eval, _free_vars, _rebuild,
+    contains_constN, eval_formula, free_variables, is_first_order,
+    print_formula,
 )
 
 
@@ -40,6 +43,8 @@ class PotentialistSystem:
     does for a quantifier and its range.  For each dia/box node it memoizes
     the truth of the node's body at each accessible world, keyed by (body,
     world, restriction of the assignment to the body's free variables).
+    The body's hash and its free variables, in sorted order, are read from
+    the node, which computes each once and keeps it.
     """
 
     def __init__(self, worlds, ids, access, limit=None, validate=True):
@@ -56,7 +61,6 @@ class PotentialistSystem:
             self.validate()
         self._access = [tuple(sorted(s)) for s in self.access]
         self._memo = {}
-        self._fv = {}
 
     def resolve(self, world):
         """Accept an index or an id; return the index."""
@@ -130,7 +134,7 @@ class PotentialistSystem:
         i = self.resolve(world)
         a = dict(assignment) if assignment else {}
         try:
-            for v in self._free(f):
+            for v in _free_vars(f):
                 if v not in a:
                     raise EvalError(f"unassigned variable {v!r}")
             if isinstance(f, (Possibly, Necessarily)):
@@ -139,16 +143,9 @@ class PotentialistSystem:
         except RecursionError as exc:
             raise EvalError("formula is nested too deeply") from exc
 
-    def _free(self, f):
-        r = self._fv.get(f)
-        if r is None:
-            r = tuple(sorted(free_variables(f)))
-            self._fv[f] = r
-        return r
-
     def _scan(self, i, f, assignment):
         body = f.body
-        vals = tuple(assignment[v] for v in self._free(body))
+        vals = tuple(map(assignment.__getitem__, _free_vars(body)))
         want = isinstance(f, Possibly)  # dia stops at a true body, box at a false one
         for j in self._access[i]:
             key = (body, j, vals)

@@ -1,18 +1,30 @@
 """Parser, printer, and first-order evaluation of the formula language."""
+import copy
+import dataclasses
+import inspect
+import json
+import os
+import pickle
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import finarith
 from finarith.core import make_subset_world, make_truncation
 from finarith.corpus import parse_corpus_text, parse_pairs_text
 from finarith.errors import EvalError, ParseError, WrongEvaluatorError
 from finarith.logic import (
-    And, Const0, Const1, ConstN, Defined, Eq, Exists, Forall, Implies, Lt,
-    Necessarily, Not, Or, PlusAtom, Possibly, Prod, Succ, Sum, TimesAtom, Var,
-    eval_formula, eval_term, free_variables, induction_instance, is_delta0,
-    is_first_order, parse_formula, parse_term, print_formula, print_term,
-    substitute,
+    And, Const0, Const1, ConstN, Defined, Eq, Exists, Forall, Formula,
+    Implies, Lt, Necessarily, Not, Or, PlusAtom, Possibly, Prod, Succ, Sum,
+    Term, TimesAtom, Var, _Node, _nodes, _Parser, eval_formula, eval_term,
+    free_variables, induction_instance, is_delta0, is_first_order,
+    parse_formula, parse_term, print_formula, print_term, substitute,
 )
+from finarith.modal import SCHEMAS, potentialist_translation
+from test_properties import _generated_corpus
 
 
 class TestParser:
@@ -49,6 +61,46 @@ class TestParser:
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert accepted == [floor]
+
+    def test_parenthesized_formula_parse_is_linear(self):
+        # Calls to parser methods are counted, not timed.  A parser that
+        # retries a failed term reading of "(" at every nesting level makes
+        # about 16 times the calls at 400 levels as at 100.
+        methods = {f.__code__ for f in vars(_Parser).values() if inspect.isfunction(f)}
+        counts = {}
+
+        def parse_at(depth):
+            calls = 0
+
+            def count(frame, event, arg):
+                nonlocal calls
+                if event == "call" and frame.f_code in methods:
+                    calls += 1
+
+            sys.setprofile(count)
+            try:
+                parse_formula("(" * depth + "x = 0" + ")" * depth)
+            finally:
+                sys.setprofile(None)
+            counts[depth] = calls
+
+        def parse_all():
+            for depth in (100, 400):
+                parse_at(depth)
+
+        thread = threading.Thread(target=parse_all)  # an empty stack, as above
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert 0 < counts[100] and counts[400] < 5 * counts[100]
+
+    def test_failed_term_reading_reports_its_own_error(self):
+        # The term reading of "(x + (y & ..." fails at "&" while the
+        # formula reading is tried; the remembered failure is raised again,
+        # with the same message and position, when the formula reading
+        # needs the same parenthesized term.
+        with pytest.raises(ParseError, match=r"expected '\)', found '&' \(at position 8\)"):
+            parse_formula("(x + (y & 0 = 0)")
 
     def test_successor_sentence(self):
         f = parse_formula("A a. E b. b = a + 1")
@@ -301,3 +353,128 @@ class TestSubstitutionAndInduction:
     def test_var_must_be_free(self):
         with pytest.raises(EvalError):
             induction_instance(parse_formula("y = y"), "x")
+
+
+# A node pickled by _DUMP under one PYTHONHASHSEED and loaded by _LOAD under
+# another; both run in fresh interpreters.  _DUMP hashes every node before
+# pickling it, so a hash cached on a node would travel with it.
+_DUMP = """
+import copy, dataclasses, pickle, sys
+from finarith.logic import _nodes, free_variables, parse_formula
+f = parse_formula(sys.argv[1])
+nodes = [f, copy.deepcopy(f), dataclasses.replace(f)]
+for g in nodes:
+    for sub in _nodes(g):
+        hash(sub)
+        free_variables(sub)
+sys.stdout.buffer.write(pickle.dumps((hash(f), nodes)))
+"""
+
+_LOAD = """
+import copy, dataclasses, json, pickle, sys
+from finarith.logic import parse_formula
+dumped_hash, nodes = pickle.loads(sys.stdin.buffer.read())
+nodes += [copy.deepcopy(nodes[0]), dataclasses.replace(nodes[0])]
+fresh = parse_formula(sys.argv[1])
+table = {fresh: "found"}
+print(json.dumps({
+    "dumped_hash": dumped_hash,
+    "fresh_hash": hash(fresh),
+    "nodes": [[g == fresh, hash(g) == hash(fresh), table.get(g)] for g in nodes],
+}))
+"""
+
+
+def _construct(node):
+    """node rebuilt bottom-up by calling each node class directly."""
+    return type(node)(*(
+        x if x is None or isinstance(x, str) else _construct(x)
+        for x in map(node.__getattribute__, node.__match_args__)
+    ))
+
+
+def _assert_one_key(first, *others):
+    """Every node of others is == first, hashes as first does and finds
+    first's dict entry.  first is hashed root first; each of the others has
+    every subnode hashed before its parent."""
+    table = {first: "found"}
+    for g in others:
+        for sub in reversed(list(_nodes(g))):
+            hash(sub)
+        assert g == first and hash(g) == hash(first) and table.get(g) == "found", g
+
+
+def _uses_cached_hash(cls):
+    return (
+        issubclass(cls, _Node)
+        and cls.__hash__ is _Node.__hash__
+        and cls.__reduce__ is _Node.__reduce__
+    )
+
+
+class TestNodeHash:
+    def test_pickled_node_hashes_afresh_under_another_seed(self):
+        text = "A a. (dia E b < a + 1. (Plus(a, b, S(b)) | !Def(a * N))) -> box a = c"
+        src = str(Path(finarith.__file__).parents[1])
+
+        def run(script, seed, data=None):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            return subprocess.run(
+                [sys.executable, "-c", script, text],
+                input=data, capture_output=True, env=env, check=True,
+            ).stdout
+
+        report = json.loads(run(_LOAD, 2, run(_DUMP, 1)))
+        assert report["dumped_hash"] != report["fresh_hash"]  # the seeds differ
+        # The pickled node, its deep copy and its replace copy, then the
+        # loaded node's deep copy and replace copy.
+        assert report["nodes"] == [[True, True, "found"]] * 5
+
+    def test_copies_rebuild_the_node(self):
+        f = parse_formula("E x. x + 1 = y")
+        hash(f)
+        free_variables(f)
+        for g in (copy.copy(f), copy.deepcopy(f), dataclasses.replace(f),
+                  pickle.loads(pickle.dumps(f))):
+            assert g == f and g is not f and hash(g) == hash(f)
+            assert free_variables(g) == {"y"}
+
+    def test_equal_nodes_hash_equally_whatever_built_them(self):
+        texts = _generated_corpus()
+        for text in texts:
+            f = parse_formula(text)
+            _assert_one_key(f, parse_formula(text), _construct(f),
+                            parse_formula(print_formula(f)))
+            for v in sorted(free_variables(f)):
+                g = substitute(f, v, Sum(Var("w"), Const1()))
+                _assert_one_key(g, substitute(parse_formula(text), v, parse_term("w + 1")),
+                                parse_formula(print_formula(g)))
+            if is_first_order(f):
+                t = potentialist_translation(f)
+                _assert_one_key(t, potentialist_translation(parse_formula(text)),
+                                parse_formula(print_formula(t)))
+        for schema in SCHEMAS.values():
+            for a, b in zip(texts, texts[1:]):
+                inst = schema.instantiate(parse_formula(a), parse_formula(b))
+                _assert_one_key(inst, schema.instantiate(parse_formula(a), parse_formula(b)),
+                                parse_formula(print_formula(inst)))
+
+    def test_free_variables_are_a_new_set_each_time(self):
+        f = parse_formula("A x < y. x = z")
+        free_variables(f).add("w")
+        assert free_variables(f) == {"y", "z"}
+        assert free_variables(f.body) == {"x", "z"}
+
+    def test_every_node_class_uses_the_cached_hash(self):
+        # A node class written with a plain @dataclass(frozen=True) gets the
+        # recursive hash dataclass generates, which rehashes the whole tree
+        # on every memo lookup.
+        classes = Term.__args__ + Formula.__args__
+        assert len(classes) == 20
+        assert all(map(_uses_cached_hash, classes))
+
+        @dataclasses.dataclass(frozen=True)
+        class Plain(_Node):
+            body: Formula
+
+        assert not _uses_cached_hash(Plain)

@@ -209,6 +209,18 @@ class TestSchemas:
         assert len(calls) == len(pairs) * len(system.worlds)
         assert not any(isinstance(f, (Possibly, Necessarily)) for f in calls)
 
+    def test_reparsed_pairs_find_the_memo(self):
+        # Memo keys compare formulas by structure: equal instance pairs,
+        # parsed afresh into distinct nodes, miss no memo entry.
+        system = arbitrary_set_system(2)
+        for name in SCHEMAS:
+            first = check_schema(system, SCHEMAS[name], load_packaged_pairs("schema_instances.fml"))
+            size = len(system._memo)
+            again = check_schema(system, SCHEMAS[name], load_packaged_pairs("schema_instances.fml"))
+            assert len(system._memo) == size
+            assert again == first
+        assert size > 0
+
 
 class TestDot3Search:
     def test_finds_witness_on_arbitrary_set(self, sub1):
@@ -218,6 +230,13 @@ class TestDot3Search:
 
     def test_absent_on_linear_system(self):
         assert search_dot3_counterexample(aristotelian_system(10), generator_budget=600) is None
+
+    def test_exhaustive_search_on_linear_system(self):
+        # The budget exceeds the pool's 20,880 ordered pairs of distinct
+        # formulas, so every pair is checked at every world.
+        pool = len(modal._generated_formulas())
+        assert pool * (pool - 1) == 20880
+        assert search_dot3_counterexample(aristotelian_system(2), generator_budget=10**6) is None
 
     def test_absent_on_single_world(self):
         assert search_dot3_counterexample(aristotelian_system(1), generator_budget=600) is None
