@@ -260,21 +260,34 @@ def induction_fails(m, phi, v, elements):
     """Whether logic.induction_instance(phi, v) fails in m, judged on
     elements: phi(0) holds, phi(a) -> phi(a + 1) holds at every a in
     elements below N, and some a in elements falsifies phi.  Exact given
-    every element of m.  Given a sample it proves nothing either way: a
-    pass can miss a falsifier outside the sample, and a failure is spurious
-    when the step that breaks the chain from 0 lies outside it.  An
-    undefined 0 or a + 1 is assigned as None, which the evaluator reads as
-    an undefined term, as it reads the instance's."""
+    every element of m.  Given a sample, a pass is evidence only: it can
+    miss a falsifier outside the sample.  A failure is genuine: when no
+    sampled step breaks, a bisection in value order (through element and
+    valuation) between 0 and a falsifier looks for a broken step the sample
+    missed, and the failure stands only when that step holds.  A scan of
+    every element meets a broken step before its first falsifier, so it
+    never bisects.  An undefined 0 or a + 1 is assigned as None, which the
+    evaluator reads as an undefined term, as it reads the instance's."""
     top = m.largest
-    if not eval_formula(m, phi, {v: m.zero}):
+
+    def holds(a):
+        return eval_formula(m, phi, {v: a})
+
+    if not holds(m.zero):
         return False
-    falsified = False
+    falsifier = None
     for a in elements:
-        if not eval_formula(m, phi, {v: a}):
-            falsified = True
-        elif top is not None and m.less(a, top) and not eval_formula(m, phi, {v: m.succ(a)}):
+        if not holds(a):
+            falsifier = a
+        elif top is not None and m.less(a, top) and not holds(m.succ(a)):
             return False
-    return falsified
+    if falsifier is None or None in (top, m.zero) or len(elements) == m.size():
+        return falsifier is not None  # no chain from 0 below N, or every step scanned
+    lo, hi = m.valuation(m.zero), m.valuation(falsifier)  # phi holds at lo, fails at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(m.element(mid)) else (lo, mid)
+    return holds(m.succ(m.element(lo)))  # the step at lo, unless succ leaves value order
 
 
 def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
@@ -286,8 +299,8 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     corpus formula's induction instance holds, decided by induction_fails
     on the swept elements.  Sweeps run exhaustively while size**2 <= budget
     and by seeded sampling above that.  An exhaustive induction verdict is
-    exact; a sampled one is evidence only, wrong in either direction when
-    the sample misses the deciding element (see induction_fails).
+    exact.  A sampled failure is genuine; a sampled pass is evidence only,
+    wrong when the sample misses every falsifier (see induction_fails).
     """
     if budget < 0:
         raise ValueError("budget must be at least 0")

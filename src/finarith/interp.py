@@ -438,7 +438,8 @@ class BoundedInductionReport:
 
 # check_bounded_induction scans a stage of at most this many elements whole,
 # where its induction verdict is exact, and a sample drawn with the seed
-# above it, where a verdict is evidence only (see core.induction_fails).
+# above it, where a failure is genuine and a pass is evidence only (see
+# core.induction_fails).
 _INDUCTION_BUDGET = 4096
 _INDUCTION_SEED = 0
 
@@ -446,8 +447,8 @@ _INDUCTION_SEED = 0
 def check_bounded_induction(tower, corpus):
     """Induction instances of bounded formulas at every stage, plus truth
     agreement of closed bounded sentences between consecutive stages.  An
-    induction verdict is exact at a stage scanned whole and evidence only at
-    a sampled one (see _INDUCTION_BUDGET)."""
+    induction verdict is exact at a stage scanned whole; at a sampled one a
+    failure is genuine and a pass is evidence only (see _INDUCTION_BUDGET)."""
     induction = []
     absoluteness = []
     failures = []

@@ -37,8 +37,8 @@ class _Node:
     """The base of every term and formula class.
 
     A node computes its structural hash on first use and keeps it, so a
-    memo key holding a formula hashes in O(1) after the formula's first
-    hash.  It also keeps its free variables once free_variables has found
+    modal label key holding a formula hashes in O(1) after the formula's
+    first hash.  It also keeps its free variables once free_variables has found
     them.  Neither cache travels through pickle, copy or
     dataclasses.replace: __reduce__ rebuilds a node from its fields, so a
     node loaded in another process, where str hashes differ, hashes
@@ -241,8 +241,8 @@ def free_variables(node):
 
 def _free_vars(node):
     """The free variables of node as a sorted tuple, computed on first use
-    and kept in the node's _free slot.  The modal evaluator reads its memo
-    keys' assignment restrictions in this order."""
+    and kept in the node's _free slot.  A modal label is keyed by the
+    values of a formula's free variables in this order."""
     free = getattr(node, "_free", None)
     if free is not None:
         return free

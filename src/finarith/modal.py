@@ -8,16 +8,22 @@ world; individuals are rigid, so a witness found here still exists in every
 larger world.  Everything but dia/box is evaluated by the first-order
 recursion of ``logic``.  dia/box follow the rule of E/A there, over
 accessible worlds instead of elements: logic._decide hands each dia/box
-node to the system, which returns (truth, deciding world) and memoizes the
-bodies of its dia/box nodes per world.  The memo keys on formula structure;
-a formula node keeps its hash and its free variables once computed (see
-logic._Node), so a lookup hashes in O(1) after a body's first one.
+node to the system, which returns (truth, deciding world).
+
+The system decides dia/box by global labeling (Clarke, Emerson & Sistla,
+TOPLAS 8(2), 1986): the label of a formula under values of its free
+variables is a pair of int masks over world indices (bit j for world j),
+where it has been evaluated and where it holds.  A dia/box reads its
+body's label against the access mask of its world, evaluating the body
+only at the accessible worlds its label lacks, in index order, up to the
+first deciding one.  Schema checks and the Dot3 search label each closed
+formula once, at every world, and evaluate a schema's template over those
+masks, so they build no instance formula.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 
 from .core import SubsetWorld, Truncation
 from .errors import DomainError, EvalError
@@ -37,14 +43,13 @@ class PotentialistSystem:
     (including i itself once validated reflexive).  Worlds are addressed by
     index or by their string id.  Atoms, connectives and quantifiers run
     through the first-order recursion of ``logic`` at the current world;
-    the system decides only dia/box.  Its ``_scan``, bound to a world, is
-    the modal callback of that recursion: it scans the accessible worlds
-    in index order and returns (truth, deciding world), as logic._decide
-    does for a quantifier and its range.  For each dia/box node it memoizes
-    the truth of the node's body at each accessible world, keyed by (body,
-    world, restriction of the assignment to the body's free variables).
-    The body's hash and its free variables, in sorted order, are read from
-    the node, which computes each once and keeps it.
+    the system decides only dia/box, by labels (see the module docstring).
+    ``_labels`` maps (formula, values of its free variables in sorted
+    order) to its two masks.  A body with free variables is labeled only at
+    worlds reachable from the querying world, where the individuals
+    assigned to it exist.  ``_world`` is the world the recursion is at,
+    whose access mask a dia/box met there reads; so a system answers one
+    query at a time, and is not to be shared between threads.
     """
 
     def __init__(self, worlds, ids, access, limit=None, validate=True):
@@ -59,8 +64,10 @@ class PotentialistSystem:
         self.limit = limit
         if validate:
             self.validate()
-        self._access = [tuple(sorted(s)) for s in self.access]
-        self._memo = {}
+        self._reach = [sum(1 << j for j in s) for s in self.access]
+        self._everywhere = (1 << len(self.worlds)) - 1
+        self._labels = {}
+        self._world = None
 
     def resolve(self, world):
         """Accept an index or an id; return the index."""
@@ -129,33 +136,85 @@ class PotentialistSystem:
         """(truth of f at world, deciding world).  For a dia/box f the
         deciding world is the index of the first accessible world where the
         body holds (dia) or fails (box); otherwise, and when no such world
-        exists, it is None.  Bodies of dia/box nodes are memoized per world
-        in the system, so repeated calls share the work."""
+        exists, it is None.  Labels are kept in the system, so repeated
+        calls share the work."""
         i = self.resolve(world)
         a = dict(assignment) if assignment else {}
         try:
             for v in _free_vars(f):
                 if v not in a:
                     raise EvalError(f"unassigned variable {v!r}")
+            self._world = i
             if isinstance(f, (Possibly, Necessarily)):
-                return self._scan(i, f, a)
-            return _eval(self.worlds[i], f, a, partial(self._scan, i)), None
+                return self._modal(f, a)
+            return _eval(self.worlds[i], f, a, self._modal), None
         except RecursionError as exc:
             raise EvalError("formula is nested too deeply") from exc
 
-    def _scan(self, i, f, assignment):
-        body = f.body
-        vals = tuple(map(assignment.__getitem__, _free_vars(body)))
-        want = isinstance(f, Possibly)  # dia stops at a true body, box at a false one
-        for j in self._access[i]:
-            key = (body, j, vals)
-            hit = self._memo.get(key)
-            if hit is None:
-                world = self.worlds[j]
-                hit = self._memo[key] = _eval(world, body, assignment, partial(self._scan, j))
-            if hit == want:
-                return want, j
-        return not want, None
+    def _modal(self, f, assignment):
+        """The modal callback of _eval: (truth of the dia/box f at _world,
+        deciding world), read from the label of f's body."""
+        want = type(f) is Possibly  # dia stops at a true body, box at a false one
+        found = self._fill(f.body, assignment, self._reach[self._world], want)
+        return (want, found.bit_length() - 1) if found else (not want, None)
+
+    def _fill(self, f, assignment, worlds, want=None):
+        """Evaluate f under assignment at the worlds of the mask worlds that
+        its label lacks, in index order, and add them to the label.  With
+        want given, stop at the first world of worlds where f's truth is
+        want, whether labeled before or now, and return its bit; return 0
+        when there is none."""
+        key = f, tuple(map(assignment.__getitem__, _free_vars(f)))
+        known, holds = self._labels.get(key, (0, 0))
+        found = 0
+        if want is not None:
+            found = worlds & (holds if want else known & ~holds)
+            found &= -found
+        todo = worlds & ~known & (found - 1)  # below found; everything when found is 0
+        if todo:
+            here, modal = self._world, self._modal
+            while todo:
+                bit = todo & -todo
+                j = self._world = bit.bit_length() - 1
+                truth = _eval(self.worlds[j], f, assignment, modal)
+                known |= bit
+                if truth:
+                    holds |= bit
+                if truth == want:
+                    found = bit
+                    break
+                todo ^= bit
+            self._world = here
+            self._labels[key] = known, holds
+        return found
+
+    def _label(self, f):
+        """The mask of worlds where the closed formula f holds."""
+        self._fill(f, {}, self._everywhere)
+        return self._labels[f, ()][1]
+
+    def _dia(self, mask):
+        """The mask of worlds that reach some world of mask."""
+        return sum(1 << i for i, reach in enumerate(self._reach) if reach & mask)
+
+    def _template_holds(self, g, labels):
+        """The mask of worlds where the schema template g holds, given the
+        masks of its metavariables by name in labels."""
+        everywhere, holds = self._everywhere, lambda h: self._template_holds(h, labels)
+        match g:
+            case str():
+                return labels[g]
+            case And(l, r):
+                return holds(l) & holds(r)
+            case Or(l, r):
+                return holds(l) | holds(r)
+            case Implies(l, r):
+                return everywhere & ~holds(l) | holds(r)
+            case Possibly(body):
+                return self._dia(holds(body))
+            case Necessarily(body):
+                return everywhere & ~self._dia(everywhere & ~holds(body))
+        raise TypeError(f"not a schema template: {g!r}")
 
     def __repr__(self):
         return f"PotentialistSystem({len(self.worlds)} worlds, limit={self.limit!r})"
@@ -408,25 +467,42 @@ class SchemaCounterexample:
 def _counterexamples(sys, schema, instances):
     """Yield a SchemaCounterexample for each (phi, psi) pair, in order, and
     each world, in index order, where the pair's schema instance fails.
-    One-variable schemas ignore psi and report it as None."""
+    One-variable schemas ignore psi and report it as None.  No instance is
+    built: the schema's template, instantiated once over the metavariable
+    names, is evaluated over the labels of phi and psi, once per distinct
+    pair of labels."""
+    template = schema.instantiate("phi", "psi")
+    masks = {None: 0}  # formula -> the mask of worlds where it holds; None is an absent psi
+    failing = {}  # (label of phi, label of psi) -> mask of worlds where the instance fails
     for phi, psi in instances:
         if schema.arity == 1:
             psi = None
-        inst = schema.instantiate(phi, psi)
-        for i, wid in enumerate(sys.ids):
-            if not sys.decide(i, inst)[0]:
-                yield SchemaCounterexample(wid, phi, psi)
+        for g in (phi, psi):
+            if g not in masks:
+                masks[g] = sys._label(g)
+        labels = masks[phi], masks[psi]
+        fails = failing.get(labels)
+        if fails is None:
+            holds = sys._template_holds(template, {"phi": labels[0], "psi": labels[1]})
+            fails = failing[labels] = sys._everywhere & ~holds
+        while fails:
+            bit = fails & -fails
+            yield SchemaCounterexample(sys.ids[bit.bit_length() - 1], phi, psi)
+            fails ^= bit
 
 
 def check_schema(sys, schema, instances):
-    """Evaluate each instantiated schema at every world; return all
-    failures.  Instances are (phi, psi) pairs of closed formulas; psi is
-    ignored by one-variable schemas."""
+    """Decide each instantiated schema at every world, from the labels of
+    its formulas; return all failures.  Instances are (phi, psi) pairs of
+    closed formulas; psi is ignored by one-variable schemas."""
     instances = list(instances)  # checked, then evaluated: read it once
-    for g in itertools.chain.from_iterable(instances):
-        if g is not None and free_variables(g):
-            raise EvalError(f"schema instances must be closed: {print_formula(g)}")
-    return list(_counterexamples(sys, schema, instances))
+    try:
+        for g in itertools.chain.from_iterable(instances):
+            if g is not None and _free_vars(g):
+                raise EvalError(f"schema instances must be closed: {print_formula(g)}")
+        return list(_counterexamples(sys, schema, instances))
+    except RecursionError as exc:
+        raise EvalError("formula is nested too deeply") from exc
 
 
 # --- counterexample search ---
@@ -464,7 +540,10 @@ def search_dot3_counterexample(sys, generator_budget=5000):
     """Return the first (world, phi, psi) falsifying the Dot3 schema, with
     phi and psi distinct formulas from a fixed pool (atoms over 0 and 1,
     their negations, and conjunctions and disjunctions of two of those), or
-    None when the pool or the budget of pairs is exhausted."""
+    None when the pool or the budget of pairs is exhausted.  Pairs are
+    tried in diagonal order, and the world is the first, in index order,
+    where the pair's instance fails.  Each pool formula is labeled once, at
+    every world, and each pair is decided from the two labels."""
     if generator_budget < 0:
         raise ValueError("generator budget must be at least 0")
     pairs = itertools.islice(_diagonal_pairs(_generated_formulas()), generator_budget)

@@ -108,6 +108,18 @@ class TestExitCodes:
                        "dia " * 3000 + "0 = 0"])
         assert code == 2
 
+    @pytest.mark.parametrize("depth", [600, 3000])  # fails in evaluation, in parsing
+    def test_deeply_nested_modality_is_two_without_a_traceback(self, depth, tmp_path, capsys):
+        text = "dia " * depth + "0 = 0"
+        corpus = tmp_path / "pairs.fml"
+        corpus.write_text(f"{text} ; 0 = 0\n")
+        for argv in (["modal-eval", "--aristotelian", "3", "--world", "1", text],
+                     ["validate", "--aristotelian", "3", "--schema", "T", "--corpus", str(corpus)]):
+            code, _ = run(argv)
+            err = capsys.readouterr().err
+            assert code == 2, argv[0]
+            assert err.startswith("error:") and "Traceback" not in err, err
+
     def test_deeply_parenthesized_translate_is_two(self):
         code, _ = run(["translate", "(" * 3000 + "0 = 0" + ")" * 3000])
         assert code == 2

@@ -167,6 +167,34 @@ class TestAxiomChecks:
             "induction instance fails for x = 0 | x = 1"
         ]
 
+    def test_sampled_failure_is_certified_by_bisection(self):
+        # The step that breaks the chain, at 4, lies outside the sample; the
+        # bisection between 0 and a sampled falsifier finds it.
+        phi = parse_formula("x < 1 + 1 + 1 + 1 + 1")
+        report = check_fa_axioms(make_truncation(10**6), [phi])
+        assert report.groups["induction"].mode == "sampled"
+        assert report.passed, report.failures()
+        bounded = check_bounded_induction(build_tower(make_truncation(12), 2), [phi])
+        assert bounded.passed, bounded.failures
+        assert [ok for _, _, ok in bounded.induction] == [True, True, True]
+
+    def test_sampled_failure_stays_when_no_step_breaks(self):
+        # Counting up from 0 never leaves {0, 1}: the instance really fails.
+        report = check_fa_axioms(LoopingSuccessor(10**6), [parse_formula("x = 0 | x = 1")])
+        assert report.groups["induction"].mode == "sampled"
+        assert report.groups["induction"].failures == [
+            "induction instance fails for x = 0 | x = 1"
+        ]
+
+    def test_exhaustive_scan_never_bisects(self):
+        class NoElement(LoopingSuccessor):
+            def element(self, value):
+                raise AssertionError("bisection in an exhaustive scan")
+
+        report = check_fa_axioms(NoElement(3), [parse_formula("x = 0 | x = 1")])
+        assert report.groups["induction"].mode == "exhaustive"
+        assert not report.groups["induction"].passed
+
     def test_subset_world_lacks_only_constant_N(self):
         # The same structure as the truncation at 3, but N does not denote.
         corpus = [parse_formula("x < 1 + 1")]

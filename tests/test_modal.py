@@ -117,6 +117,20 @@ class TestEvalModal:
         with pytest.raises(EvalError):
             eval_modal(aristotelian_system(3), "1", f)
 
+    def test_very_deep_nesting_is_an_eval_error_in_decide_and_check_schema(self):
+        f = Eq(Const0(), Const0())
+        for _ in range(3000):
+            f = Possibly(f)
+        with pytest.raises(EvalError):
+            aristotelian_system(3).decide("1", f)
+        with pytest.raises(EvalError):
+            check_schema(aristotelian_system(3), SCHEMAS["T"], [(f, None)])
+
+    def test_decide_on_an_open_formula_names_the_unassigned_variable(self, ari30):
+        for text in ("x = 0", "dia x = 0", "E y. box x = y"):
+            with pytest.raises(EvalError, match="unassigned variable 'x'"):
+                ari30.decide("3", parse_formula(text))
+
     def test_decide_names_the_first_deciding_world(self, ari30):
         assert ari30.decide("3", parse_formula("dia E x. x = 1 + 1 + 1 + 1 + 1")) == (True, 4)
         assert ari30.decide("3", parse_formula("box !(E x. x = 1 + 1 + 1 + 1 + 1)")) == (False, 4)
@@ -187,13 +201,20 @@ class TestSchemas:
         hits = check_schema(sub1, SCHEMAS["Dot3"], [(phi, psi)])
         assert [h.world_id for h in hits] == ["empty"]
 
+    def test_open_body_is_labeled_only_where_its_individuals_exist(self):
+        # Under A a, the body of dia is labeled at the worlds reachable from
+        # the world a was drawn from; the empty world, where a does not
+        # exist, is never asked.
+        phi = parse_formula("A a. dia E b. b = a + 1")
+        assert check_schema(arbitrary_set_system(2), SCHEMAS["T"], [(phi, None)]) == []
+
     def test_open_instance_rejected(self, sub1):
         with pytest.raises(EvalError):
             check_schema(sub1, SCHEMAS["T"], [(parse_formula("x = 0"), None)])
 
     def test_second_pass_is_answered_from_the_memo(self, monkeypatch):
-        # One memo per system: a repeated check evaluates each instance once
-        # per world at top level and finds every dia/box body memoized.
+        # One label cache per system: a repeated check finds every formula
+        # labeled and evaluates nothing, at top level or under dia/box.
         system = arbitrary_set_system(2)
         pairs = load_packaged_pairs("schema_instances.fml")
         first = check_schema(system, SCHEMAS["Dot3"], pairs)
@@ -206,18 +227,28 @@ class TestSchemas:
 
         monkeypatch.setattr(modal, "_eval", counting)
         assert check_schema(system, SCHEMAS["Dot3"], pairs) == first
-        assert len(calls) == len(pairs) * len(system.worlds)
-        assert not any(isinstance(f, (Possibly, Necessarily)) for f in calls)
+        assert calls == []
 
-    def test_reparsed_pairs_find_the_memo(self):
-        # Memo keys compare formulas by structure: equal instance pairs,
-        # parsed afresh into distinct nodes, miss no memo entry.
+    def test_reparsed_pairs_find_the_memo(self, monkeypatch):
+        # Labels are keyed by formula structure: equal instance pairs,
+        # parsed afresh into distinct nodes, add no label and evaluate
+        # nothing.
         system = arbitrary_set_system(2)
+        real = modal._eval
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
         for name in SCHEMAS:
             first = check_schema(system, SCHEMAS[name], load_packaged_pairs("schema_instances.fml"))
-            size = len(system._memo)
+            size = len(system._labels)
+            monkeypatch.setattr(modal, "_eval", counting)
             again = check_schema(system, SCHEMAS[name], load_packaged_pairs("schema_instances.fml"))
-            assert len(system._memo) == size
+            monkeypatch.setattr(modal, "_eval", real)
+            assert len(system._labels) == size
+            assert calls == []
             assert again == first
         assert size > 0
 

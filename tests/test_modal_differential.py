@@ -1,28 +1,34 @@
-"""Differential checks of eval_modal and of ``fa eval --trace`` against a
-definitional Kripke evaluator.
+"""Differential checks of eval_modal, the schema checks, the Dot3 search
+and ``fa eval --trace`` against a definitional Kripke evaluator.
 
-The reference below follows the textbook clauses directly, with no memo,
-so a wrong memo key in the library (for instance one that drops a free
-variable of a dia/box body) shows up as a disagreement.  The trace is
-checked against a scan of each quantifier's range written here.
+The reference below follows the textbook clauses directly, with no labels,
+so a wrong label key in the library (for instance one that drops a free
+variable of a dia/box body) shows up as a disagreement.  The schema checks
+and the Dot3 search are checked against instances built and evaluated
+here, and the trace against a scan of each quantifier's range.
 """
 import io
+import itertools
 import json
 from functools import lru_cache
 from types import SimpleNamespace
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_properties import subset_families
 
+from finarith import modal
 from finarith.cli import main
-from finarith.core import make_subset_world, make_truncation
+from finarith.core import SubsetWorld, make_subset_world, make_truncation
 from finarith.logic import (
     And, Const0, Const1, ConstN, Defined, Eq, Exists, Forall, Implies, Lt,
     Necessarily, Not, Or, PlusAtom, Possibly, Prod, Succ, Sum, TimesAtom, Var,
     print_formula,
 )
 from finarith.modal import (
-    aristotelian_system, arbitrary_set_system, eval_modal, fork_system,
+    SCHEMAS, aristotelian_system, arbitrary_set_system, check_schema, eval_modal,
+    fork_system, load_system, search_dot3_counterexample,
 )
 
 SYSTEMS = [fork_system(), arbitrary_set_system(1), arbitrary_set_system(2), aristotelian_system(4)]
@@ -151,6 +157,76 @@ def test_free_variable_under_modality_matches_definitional_semantics(f, q):
             for x in w:
                 assert eval_modal(sys, i, f, {"x": x}) == ref_eval(sys, i, f, {"x": x}), (sys.ids[i], x, f)
             assert eval_modal(sys, i, closed) == ref_eval(sys, i, closed, {}), (sys.ids[i], closed)
+
+
+def ref_decide(sys, i, f, a):
+    """(truth of the dia/box f at world i, the least accessible world
+    where its body holds (dia) or fails (box), or None)."""
+    want = isinstance(f, Possibly)
+    deciders = [j for j in sorted(sys.access[i]) if ref_eval(sys, j, f.body, a) == want]
+    return (want, deciders[0]) if deciders else (not want, None)
+
+
+def modal_nodes(f):
+    """The dia/box nodes of f outside its quantifiers and atoms, outermost
+    first; in a closed f they are closed."""
+    if isinstance(f, (Possibly, Necessarily)):
+        yield f
+    for child in (getattr(f, field) for field in f.__match_args__):
+        if isinstance(child, (Possibly, Necessarily, Not, And, Or, Implies)):
+            yield from modal_nodes(child)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    subset_families(),
+    st.lists(st.tuples(formulas(frozenset(), 2), formulas(frozenset(), 2)), min_size=1, max_size=3),
+    open_modal,
+)
+def test_schema_hits_and_deciding_worlds_match_definitional_semantics(family, pairs, f):
+    domains, access = family
+    try:
+        sys = load_system([SubsetWorld(d) for d in domains], [str(i) for i in range(len(domains))], access)
+    except ValueError:
+        assume(False)
+    for schema in SCHEMAS.values():
+        hits = check_schema(sys, schema, pairs)
+        want = []
+        for phi, psi in pairs:
+            psi = psi if schema.arity == 2 else None
+            inst = schema.instantiate(phi, psi)
+            want += [(wid, phi, psi) for i, wid in enumerate(sys.ids) if not ref_eval(sys, i, inst, {})]
+            for i in range(len(sys.worlds)):
+                for g in modal_nodes(inst):
+                    assert sys.decide(i, g) == ref_decide(sys, i, g, {}), (sys.ids[i], g)
+        assert [(h.world_id, h.phi, h.psi) for h in hits] == want, schema.name
+    for i, w in enumerate(sys.worlds):
+        for x in w:
+            assert sys.decide(i, f, {"x": x}) == ref_decide(sys, i, f, {"x": x}), (sys.ids[i], x, f)
+
+
+def ref_dot3_search(sys, budget):
+    """The first (world id, phi, psi) where the Dot3 instance of a pool
+    pair, taken in the search's order, fails by ref_eval; or None."""
+    pairs = modal._diagonal_pairs(modal._generated_formulas())
+    for phi, psi in itertools.islice(pairs, budget):
+        inst = SCHEMAS["Dot3"].instantiate(phi, psi)
+        for i, wid in enumerate(sys.ids):
+            if not ref_eval(sys, i, inst, {}):
+                return wid, phi, psi
+    return None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: aristotelian_system(2), lambda: aristotelian_system(3), lambda: aristotelian_system(6),
+    lambda: arbitrary_set_system(1), lambda: arbitrary_set_system(2), lambda: arbitrary_set_system(3),
+    fork_system,
+], ids=["aristotelian2", "aristotelian3", "aristotelian6", "subsets1", "subsets2", "subsets3", "fork"])
+@pytest.mark.parametrize("budget", [200, 5000])
+def test_dot3_search_matches_a_definitional_scan(make, budget):
+    witness = search_dot3_counterexample(make(), generator_budget=budget)
+    found = None if witness is None else (witness.world_id, witness.phi, witness.psi)
+    assert found == ref_dot3_search(make(), budget)
 
 
 def quantifier_chains(scope, depth):
