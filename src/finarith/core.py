@@ -1,6 +1,9 @@
-"""Finite partial structures of arithmetic and canonical truncation models.
+"""Finite partial structures of arithmetic and the FA axiom checks.
 
-Elements of the canonical structures are plain Python ints (exact, unbounded).
+The canonical structures are the substructures of the standard model
+induced on finite sets of naturals (``SubsetWorld``); a truncation, the
+paper's model {0, ..., n} of finite arithmetic, is the initial-segment case
+(``Truncation``).  Their elements are plain Python ints (exact, unbounded).
 Partial addition and multiplication return None when undefined; querying an
 argument outside the domain raises DomainError instead.
 """
@@ -92,74 +95,29 @@ class PartialStructure:
         raise NotImplementedError
 
 
-class Truncation(PartialStructure):
-    """The standard naturals cut at n: domain {0, ..., n}, operations
-    defined exactly when the true result is at most n."""
-
-    zero = 0
-    one = 1
-
-    def __init__(self, n):
-        if n < 1:
-            raise ValueError("truncation height must be at least 1 (the constant 1 must denote)")
-        self.n = n
-        self.largest = n
-
-    def __iter__(self):
-        return iter(range(self.n + 1))
-
-    def __contains__(self, x):
-        return isinstance(x, int) and not isinstance(x, bool) and 0 <= x <= self.n
-
-    def size(self):
-        return self.n + 1
-
-    def less(self, a, b):
-        return a < b
-
-    def _plus(self, a, b):
-        c = a + b
-        return c if c <= self.n else None
-
-    def _times(self, a, b):
-        c = a * b
-        return c if c <= self.n else None
-
-    def iter_below(self, x):
-        return iter(range(x))
-
-    def valuation(self, x):
-        return x
-
-    def element(self, value):
-        if not 0 <= value <= self.n:
-            raise DomainError(f"value {value} outside truncation at {self.n}")
-        return value
-
-    def __repr__(self):
-        return f"Truncation({self.n})"
-
-
 class SubsetWorld(PartialStructure):
-    """The induced substructure of the standard model on an arbitrary finite
-    set of naturals.  A sum or product is defined exactly when its true
-    value lies in the set; 0 and 1 denote only when present."""
+    """The substructure of the standard model induced on a finite set of
+    naturals.  Elements are ints, never bools; the order is the numeric
+    one; a sum or product is defined exactly when its true value lies in
+    the set; 0 and 1 denote only when present.  ``domain`` lists the set
+    in ascending order, and an element's value is itself."""
 
     def __init__(self, elements):
-        elems = sorted(set(elements))
-        for x in elems:
-            if x < 0:
-                raise ValueError("subset worlds contain nonnegative integers only")
-        self.domain = tuple(elems)
-        self._set = frozenset(elems)
-        self.zero = 0 if 0 in self._set else None
-        self.one = 1 if 1 in self._set else None
+        elems = set(elements)
+        if not all(type(x) is int and x >= 0 for x in elems):
+            raise ValueError("subset worlds contain nonnegative integers only")
+        self.domain = tuple(sorted(elems))
+        self._members = frozenset(elems)
+        self.zero = 0 if 0 in self._members else None
+        self.one = 1 if 1 in self._members else None
 
     def __iter__(self):
         return iter(self.domain)
 
     def __contains__(self, x):
-        return x in self._set
+        # The type test comes first: a float in a range is found by a
+        # linear scan, and True == 1 would pass any membership test.
+        return type(x) is int and x in self._members
 
     def size(self):
         return len(self.domain)
@@ -169,22 +127,47 @@ class SubsetWorld(PartialStructure):
 
     def _plus(self, a, b):
         c = a + b
-        return c if c in self._set else None
+        return c if c in self._members else None
 
     def _times(self, a, b):
         c = a * b
-        return c if c in self._set else None
+        return c if c in self._members else None
 
     def valuation(self, x):
         return x
 
     def element(self, value):
-        if value not in self._set:
-            raise DomainError(f"value {value} not in subset world")
+        self._require(value)
         return value
 
     def __repr__(self):
         return f"SubsetWorld({set(self.domain) if self.domain else '{}'})"
+
+
+class Truncation(SubsetWorld):
+    """The standard naturals cut at n: the subset world on {0, ..., n},
+    whose operations are defined exactly when the true result is at most n.
+    The domain is a range, never materialized, so n may be huge."""
+
+    zero = 0
+    one = 1
+
+    def __init__(self, n):
+        if type(n) is not int or n < 1:
+            raise ValueError(
+                "truncation height must be an integer at least 1 (the constant 1 must denote)"
+            )
+        self.n = self.largest = n
+        self.domain = self._members = range(n + 1)
+
+    def size(self):
+        return self.n + 1  # len() of a range fails above sys.maxsize
+
+    def iter_below(self, x):
+        return iter(range(x))
+
+    def __repr__(self):
+        return f"Truncation({self.n})"
 
 
 def make_truncation(n):

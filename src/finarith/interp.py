@@ -507,19 +507,17 @@ def _outer_bounds_defined(stage, phi):
 
 # --- purity instrumentation ---
 
-class InstrumentedStructure(PartialStructure):
-    """Pass-through wrapper recording every operand pair handed to the
-    wrapped structure's plus and times."""
+class InstrumentedStructure:
+    """Wrapper recording every operand pair handed to the wrapped
+    structure's plus and times, a successor as a plus of one.  Every other
+    attribute is the wrapped structure's own."""
 
     def __init__(self, base):
         self.base = base
         self.requests = []
-        self.zero = base.zero
-        self.one = base.one
-        self.largest = base.largest
 
-    def reset(self):
-        self.requests = []
+    def __getattr__(self, name):
+        return getattr(self.base, name)
 
     def __iter__(self):
         return iter(self.base)
@@ -527,11 +525,8 @@ class InstrumentedStructure(PartialStructure):
     def __contains__(self, x):
         return x in self.base
 
-    def size(self):
-        return self.base.size()
-
-    def less(self, a, b):
-        return self.base.less(a, b)
+    def reset(self):
+        self.requests = []
 
     def plus(self, a, b):
         self.requests.append(("plus", a, b))
@@ -545,15 +540,6 @@ class InstrumentedStructure(PartialStructure):
         if self.one is None:
             return None
         return self.plus(a, self.one)
-
-    def iter_below(self, x):
-        return self.base.iter_below(x)
-
-    def valuation(self, x):
-        return self.base.valuation(x)
-
-    def element(self, v):
-        return self.base.element(v)
 
     def all_operands_below(self, bound):
         return all(

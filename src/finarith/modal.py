@@ -220,12 +220,23 @@ class PotentialistSystem:
         return f"PotentialistSystem({len(self.worlds)} worlds, limit={self.limit!r})"
 
 
+# Largest number of access pairs (i, j) a system builder makes: the count of
+# arbitrary_set_system(11).  aristotelian_system reaches height 1030.
+_PAIR_BUDGET = 3 ** 12
+
+
+def _check_pair_budget(h, pairs):
+    if pairs > _PAIR_BUDGET:
+        raise DomainError(f"height {h} exceeds the budget of {_PAIR_BUDGET} access pairs")
+
+
 def aristotelian_system(h):
     """Initial-segment potentialism: worlds are the truncations at 1..h,
     accessible along end-extension (numeric <=), converging to the
     truncation at h."""
     if h < 1:
         raise ValueError("height must be at least 1")
+    _check_pair_budget(h, h * (h + 1) // 2)
     worlds = [Truncation(n) for n in range(1, h + 1)]
     ids = [str(n) for n in range(1, h + 1)]
     access = [frozenset(range(i, h)) for i in range(h)]
@@ -239,21 +250,17 @@ def _subset_id(elems):
     return "empty" if not elems else ",".join(str(x) for x in elems)
 
 
-# Largest number of worlds arbitrary_set_system builds (heights up to 11).
-_WORLD_BUDGET = 4096
-
-
 def arbitrary_set_system(h):
     """Arbitrary-set potentialism: one world per subset of {0, ..., h},
     ordered by inclusion, converging to the truncation at h.  The empty
     world is included; its id is "empty"."""
     if h < 0:
         raise ValueError("height must be at least 0")
+    # Each subset reaches every superset: 3**(h + 1) pairs.  The exponent is
+    # capped where the count already exceeds the budget, so a huge h costs
+    # nothing to reject.
+    _check_pair_budget(h, 3 ** min(h + 1, 13))
     count = 1 << (h + 1)
-    if count > _WORLD_BUDGET:
-        raise DomainError(
-            f"{count} worlds exceed the budget of {_WORLD_BUDGET}"
-        )
     subsets = []
     for mask in range(count):
         subsets.append(tuple(x for x in range(h + 1) if mask >> x & 1))
@@ -497,9 +504,12 @@ def check_schema(sys, schema, instances):
     closed formulas; psi is ignored by one-variable schemas."""
     instances = list(instances)  # checked, then evaluated: read it once
     try:
-        for g in itertools.chain.from_iterable(instances):
-            if g is not None and _free_vars(g):
-                raise EvalError(f"schema instances must be closed: {print_formula(g)}")
+        for phi, psi in instances:
+            if psi is None and schema.arity == 2:
+                schema.instantiate(phi, psi)  # raises: the schema needs two formulas
+            for g in (phi, psi):
+                if g is not None and _free_vars(g):
+                    raise EvalError(f"schema instances must be closed: {print_formula(g)}")
         return list(_counterexamples(sys, schema, instances))
     except RecursionError as exc:
         raise EvalError("formula is nested too deeply") from exc

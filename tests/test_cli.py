@@ -2,6 +2,7 @@
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -147,6 +148,16 @@ class TestExitCodes:
         code, _ = run(["--budget", "-1", "lift", "--n", "100"])
         assert code == 2
 
+    @pytest.mark.parametrize("system", ["--subsets", "--aristotelian"])
+    def test_system_over_the_pair_budget_is_two_at_once(self, system, capsys):
+        start = time.perf_counter()
+        code, _ = run(["frame", system, "100000"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err, err
+        assert elapsed < 1.0
+
     def test_out_of_memory_is_two(self, monkeypatch, capsys):
         def exhausted(args):
             raise MemoryError
@@ -158,6 +169,13 @@ class TestExitCodes:
 
 
 class TestReportContent:
+    def test_truncate_at_ten_to_the_thirty(self):
+        n = 10**30
+        _, out = run(["--format", "json", "truncate", "--n", str(n)])
+        assert json.loads(out)["results"] == [
+            {"n": n, "size": n + 1, "largest": n, "largest_square_base": 10**15}
+        ]
+
     def test_eval_counterexample_trace(self):
         _, out = run(GOLDEN_CASES["eval"])
         record = json.loads(out)

@@ -1,4 +1,5 @@
 """Truncation models, subset worlds, and the FA axiom checks."""
+import itertools
 import math
 import random
 
@@ -117,6 +118,58 @@ class TestSubsetWorld:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             make_subset_world({-1, 2})
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5])
+    def test_non_int_is_rejected_by_both_classes(self, bad):
+        # Beside TestTruncation.test_bool_is_not_an_element: a subset world
+        # once took True and 1.0 as elements and returned 2.0 for 1.0 + 1.
+        with pytest.raises(ValueError):
+            make_truncation(bad)
+        with pytest.raises(ValueError):
+            make_subset_world({0, bad})
+        for m in (make_truncation(10), make_subset_world({0, 1, 2})):
+            assert bad not in m
+            with pytest.raises(DomainError):
+                m.plus(bad, 1)
+            with pytest.raises(DomainError):
+                m.element(bad)
+
+
+class TestTruncationIsTheInitialSubsetWorld:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_agrees_with_the_subset_world_on_0_to_n(self, n):
+        t, w = Truncation(n), SubsetWorld(range(n + 1))
+        assert isinstance(t, SubsetWorld)
+        assert list(t) == list(w) == list(range(n + 1))
+        assert t.size() == w.size() == n + 1
+        assert (t.zero, t.one) == (w.zero, w.one) == (0, 1)
+        assert all((x in t) == (x in w) for x in range(-2, n + 3))
+        for v in (-1, n + 1):
+            for m in (t, w):
+                with pytest.raises(DomainError):
+                    m.element(v)
+        for a in t:
+            assert t.succ(a) == w.succ(a)
+            assert list(t.iter_below(a)) == list(w.iter_below(a))
+            assert t.element(a) == w.element(a) == a
+            assert t.valuation(a) == w.valuation(a) == a
+            for b in t:
+                assert t.less(a, b) == w.less(a, b)
+                assert t.plus(a, b) == w.plus(a, b)
+                assert t.times(a, b) == w.times(a, b)
+        # Only the truncation names its largest number.
+        assert t.largest == n and w.largest is None
+
+    def test_huge_truncation_is_never_materialized(self):
+        n = 10**30
+        m = make_truncation(n)
+        assert m.size() == n + 1
+        assert n in m and n + 1 not in m and -1 not in m
+        assert m.element(n) == n
+        with pytest.raises(DomainError):
+            m.element(n + 1)
+        assert list(itertools.islice(m.iter_below(n), 3)) == [0, 1, 2]
+        assert m.plus(n, 0) == n and m.plus(n, 1) is None
 
 
 class TestLargestSquareBase:

@@ -298,6 +298,21 @@ class TestPurity:
         assert instr.all_operands_below(b)
 
 
+    def test_wrapper_records_arithmetic_and_forwards_the_rest(self):
+        raw = make_truncation(10)
+        instr = InstrumentedStructure(raw)
+        assert list(instr) == list(raw) and 10 in instr and 11 not in instr
+        assert (instr.zero, instr.one, instr.largest) == (0, 1, 10)
+        assert instr.size() == 11 and instr.order_max() == 10
+        assert list(instr.iter_below(3)) == [0, 1, 2]
+        assert instr.less(2, 3) and instr.element(4) == 4 and instr.valuation(4) == 4
+        assert instr.requests == []
+        assert (instr.plus(2, 3), instr.times(2, 3), instr.succ(9)) == (5, 6, 10)
+        assert instr.requests == [("plus", 2, 3), ("times", 2, 3), ("plus", 9, 1)]
+        instr.reset()
+        assert instr.requests == []
+
+
 def _ground_requests(n, ops=300, seed=5):
     """Every ground request made while lifting make_truncation(n) and then
     running a seeded batch of plus, times and succ on the lift."""

@@ -48,6 +48,15 @@ class TestConstruction:
         with pytest.raises(DomainError):
             arbitrary_set_system(20)
 
+    @pytest.mark.parametrize("build, h", [(arbitrary_set_system, 12), (aristotelian_system, 1031)])
+    def test_access_pair_budget_names_the_height(self, build, h):
+        # 3**13 and 1031 * 1032 / 2 access pairs exceed the budget of 3**12.
+        with pytest.raises(DomainError, match=rf"^height {h} exceeds the budget of 531441 access pairs$"):
+            build(h)
+
+    def test_tallest_aristotelian_system_within_the_budget(self):
+        assert len(aristotelian_system(1030).worlds) == 1030
+
     def test_ad_hoc_loader_validates_preorder(self):
         worlds = [SubsetWorld({0}), SubsetWorld({0, 1})]
         with pytest.raises(ValueError):
@@ -207,6 +216,13 @@ class TestSchemas:
         # exist, is never asked.
         phi = parse_formula("A a. dia E b. b = a + 1")
         assert check_schema(arbitrary_set_system(2), SCHEMAS["T"], [(phi, None)]) == []
+
+    @pytest.mark.parametrize("name", ["K", "Dot3"])
+    def test_missing_psi_is_rejected_before_labeling(self, name):
+        system = fork_system()
+        with pytest.raises(EvalError, match=f"^schema {name} needs two formulas$"):
+            check_schema(system, SCHEMAS[name], [(parse_formula("Def(1)"), None)])
+        assert system._labels == {}
 
     def test_open_instance_rejected(self, sub1):
         with pytest.raises(EvalError):
