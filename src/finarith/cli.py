@@ -10,6 +10,7 @@ as input nested too deeply.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -224,14 +225,7 @@ def _cmd_modal_eval(args):
 def _cmd_frame(args):
     sys_, spec = _make_system(args)
     report = frame_properties(sys_)
-    return 0, [{
-        "reflexive": report.reflexive,
-        "transitive": report.transitive,
-        "directed": report.directed,
-        "linear": report.linear,
-        "classification": report.classification,
-        **spec,
-    }]
+    return 0, [{**dataclasses.asdict(report), **spec}]
 
 
 def _cmd_validate(args):

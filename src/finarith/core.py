@@ -310,7 +310,7 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
 
     groups = {}
 
-    # Order: linear, irreflexive, transitive on the swept elements; least
+    # Order: irreflexive, linear and antisymmetric on the swept elements; least
     # element 0, largest element top; discreteness via successor adjacency.
     fails = []
     if m.zero is None:

@@ -16,9 +16,10 @@ variables is a pair of int masks over world indices (bit j for world j),
 where it has been evaluated and where it holds.  A dia/box reads its
 body's label against the access mask of its world, evaluating the body
 only at the accessible worlds its label lacks, in index order, up to the
-first deciding one.  Schema checks and the Dot3 search label each closed
-formula once, at every world, and evaluate a schema's template over those
-masks, so they build no instance formula.
+first deciding one.  A closed formula's connectives and dia/box compose
+the labels of their parts, so schema instances and translated sentences
+are labeled as real formulas, by mask algebra; the frame classes are read
+from the access masks and their converses.
 """
 from __future__ import annotations
 
@@ -47,9 +48,11 @@ class PotentialistSystem:
     ``_labels`` maps (formula, values of its free variables in sorted
     order) to its two masks.  A body with free variables is labeled only at
     worlds reachable from the querying world, where the individuals
-    assigned to it exist.  ``_world`` is the world the recursion is at,
-    whose access mask a dia/box met there reads; so a system answers one
-    query at a time, and is not to be shared between threads.
+    assigned to it exist.  _label gives a closed formula's label at every
+    world, composed for connectives and dia/box.  ``_world`` is the world
+    the recursion is at, whose access mask a dia/box met there reads; so a
+    system answers one query at a time, and is not to be shared between
+    threads.
     """
 
     def __init__(self, worlds, ids, access, limit=None, validate=True):
@@ -189,32 +192,37 @@ class PotentialistSystem:
         return found
 
     def _label(self, f):
-        """The mask of worlds where the closed formula f holds."""
-        self._fill(f, {}, self._everywhere)
-        return self._labels[f, ()][1]
+        """The mask of worlds where the closed formula f holds: composed from
+        its parts' labels for a connective or dia/box, filled at every world
+        for anything else, and kept in _labels either way."""
+        key = f, ()
+        known, holds = self._labels.get(key, (0, 0))
+        everywhere = self._everywhere
+        if known == everywhere:
+            return holds
+        label = self._label
+        match f:
+            case Not(body):
+                holds = everywhere & ~label(body)
+            case And(l, r):
+                holds = label(l) & label(r)
+            case Or(l, r):
+                holds = label(l) | label(r)
+            case Implies(l, r):
+                holds = everywhere & ~label(l) | label(r)
+            case Possibly(body):
+                holds = self._dia(label(body))
+            case Necessarily(body):
+                holds = everywhere & ~self._dia(everywhere & ~label(body))
+            case _:
+                self._fill(f, {}, everywhere)
+                return self._labels[key][1]
+        self._labels[key] = everywhere, holds
+        return holds
 
     def _dia(self, mask):
         """The mask of worlds that reach some world of mask."""
         return sum(1 << i for i, reach in enumerate(self._reach) if reach & mask)
-
-    def _template_holds(self, g, labels):
-        """The mask of worlds where the schema template g holds, given the
-        masks of its metavariables by name in labels."""
-        everywhere, holds = self._everywhere, lambda h: self._template_holds(h, labels)
-        match g:
-            case str():
-                return labels[g]
-            case And(l, r):
-                return holds(l) & holds(r)
-            case Or(l, r):
-                return holds(l) | holds(r)
-            case Implies(l, r):
-                return everywhere & ~holds(l) | holds(r)
-            case Possibly(body):
-                return self._dia(holds(body))
-            case Necessarily(body):
-                return everywhere & ~self._dia(everywhere & ~holds(body))
-        raise TypeError(f"not a schema template: {g!r}")
 
     def __repr__(self):
         return f"PotentialistSystem({len(self.worlds)} worlds, limit={self.limit!r})"
@@ -329,9 +337,9 @@ class TranslationReport:
 
 def check_translation_theorem(sys, corpus):
     """Compare limit-structure truth of each closed sentence with the truth
-    of its potentialist translation at every world.  Requires a convergent
-    system; sentences mentioning N are skipped (N is read de dicto per
-    world, so it is not a rigid designator)."""
+    of its potentialist translation at every world, read from its label.
+    Requires a convergent system; sentences mentioning N are skipped (N is
+    read de dicto per world, so it is not a rigid designator)."""
     if sys.limit is None:
         raise EvalError("translation theorem requires a system with a limit structure")
     try:
@@ -355,11 +363,13 @@ def check_translation_theorem(sys, corpus):
             skipped.append(text)
             continue
         limit_truth = eval_formula(sys.limit, psi, {})
-        translated = potentialist_translation(psi)
+        try:
+            holds = sys._label(potentialist_translation(psi))
+        except RecursionError as exc:
+            raise EvalError("formula is nested too deeply") from exc
         per_world = {}
         for i, wid in enumerate(sys.ids):
-            t = sys.decide(i, translated)[0]
-            per_world[wid] = t
+            t = per_world[wid] = bool(holds >> i & 1)
             if t != limit_truth:
                 violations.append(
                     f"{text}: limit says {limit_truth}, world {wid} says {t}"
@@ -383,21 +393,25 @@ class FrameReport:
 
 def frame_properties(sys):
     """Decide the frame class of the accessibility relation and name the
-    strongest matching modal logic."""
-    access = sys.access
-    n = len(access)
-    reflexive = all(i in access[i] for i in range(n))
-    transitive = all(access[j] <= access[i] for i in range(n) for j in access[i])
-    directed = True
-    linear = True
-    for i in range(n):
-        for v, w in itertools.combinations(access[i], 2):
-            if not (access[v] & access[w]):
-                directed = False
-            if v not in access[w] and w not in access[v]:
-                linear = False
-        if not directed and not linear:
-            break
+    strongest matching modal logic, from the access masks and their
+    converses in O(access pairs) mask operations."""
+    access, reach = sys.access, sys._reach
+    back = [0] * len(access)  # back[j]: the worlds that reach j
+    seen = [0] * len(access)  # seen[j]: the worlds reached along with j from one world
+    for i, s in enumerate(access):
+        for j in s:
+            back[j] |= 1 << i
+            seen[j] |= reach[i]
+    reflexive = all(r >> i & 1 for i, r in enumerate(reach))
+    transitive = all(not reach[j] & ~reach[i] for i, s in enumerate(access) for j in s)
+    directed = linear = True
+    for v, s in enumerate(access):
+        others = seen[v] & ~(1 << v)
+        meets = 0  # the worlds that reach a world v reaches
+        for k in s:
+            meets |= back[k]
+        directed = directed and not others & ~meets
+        linear = linear and not others & ~(reach[v] | back[v])  # comparable with v
     if reflexive and transitive and linear:
         classification = "linear/S4.3"
     elif reflexive and transitive and directed:
@@ -406,13 +420,7 @@ def frame_properties(sys):
         classification = "preorder/S4"
     else:
         classification = "not-a-preorder"
-    return FrameReport(
-        reflexive=reflexive,
-        transitive=transitive,
-        directed=directed,
-        linear=linear,
-        classification=classification,
-    )
+    return FrameReport(reflexive, transitive, directed, linear, classification)
 
 
 # --- schemas ---
@@ -474,23 +482,17 @@ class SchemaCounterexample:
 def _counterexamples(sys, schema, instances):
     """Yield a SchemaCounterexample for each (phi, psi) pair, in order, and
     each world, in index order, where the pair's schema instance fails.
-    One-variable schemas ignore psi and report it as None.  No instance is
-    built: the schema's template, instantiated once over the metavariable
-    names, is evaluated over the labels of phi and psi, once per distinct
-    pair of labels."""
-    template = schema.instantiate("phi", "psi")
-    masks = {None: 0}  # formula -> the mask of worlds where it holds; None is an absent psi
+    One-variable schemas ignore psi and report it as None.  The instance's
+    label is composed from the labels of phi and psi alone, so the instance
+    is built and labeled once per distinct pair of their labels."""
     failing = {}  # (label of phi, label of psi) -> mask of worlds where the instance fails
     for phi, psi in instances:
         if schema.arity == 1:
             psi = None
-        for g in (phi, psi):
-            if g not in masks:
-                masks[g] = sys._label(g)
-        labels = masks[phi], masks[psi]
+        labels = sys._label(phi), None if psi is None else sys._label(psi)
         fails = failing.get(labels)
         if fails is None:
-            holds = sys._template_holds(template, {"phi": labels[0], "psi": labels[1]})
+            holds = sys._label(schema.instantiate(phi, psi))
             fails = failing[labels] = sys._everywhere & ~holds
         while fails:
             bit = fails & -fails

@@ -233,6 +233,13 @@ class TestReportContent:
         assert result["classification"] == "directed/S4.2"
         assert result["directed"] is True and result["linear"] is False
 
+    def test_tallest_aristotelian_frame_in_seconds(self):
+        start = time.perf_counter()
+        code, out = run(["--format", "json", "frame", "--aristotelian", "1030"])
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        assert json.loads(out)["results"][0]["classification"] == "linear/S4.3"
+
     def test_tower_heights(self):
         _, out = run(GOLDEN_CASES["tower"])
         result = json.loads(out)["results"][0]

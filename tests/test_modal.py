@@ -1,5 +1,8 @@
 """Potentialist systems, Kripke evaluation, frames, schemas, translation."""
 import gc
+import itertools
+import random
+import time
 import weakref
 
 import pytest
@@ -181,6 +184,45 @@ class TestFrameProperties:
             if r.directed:
                 assert r.reflexive and r.transitive
 
+    def test_random_relations_match_the_pairwise_definitions(self):
+        # Any relation, preorder or not: each property is restated over the
+        # pairs of worlds, as the frame conditions define it.
+        rng = random.Random(2026)
+        classes = set()
+        for _ in range(300):
+            n, density = rng.randint(1, 7), rng.choice((0.2, 0.5))
+            access = [{j for j in range(n) if rng.random() < density} for _ in range(n)]
+            if rng.random() < 0.5:
+                for i in range(n):
+                    access[i].add(i)
+            if rng.random() < 0.5:
+                for k in range(n):  # Warshall
+                    for i in range(n):
+                        if k in access[i]:
+                            access[i] |= access[k]
+            system = PotentialistSystem(
+                [SubsetWorld({0})] * n, [str(i) for i in range(n)], access, validate=False,
+            )
+            report = frame_properties(system)
+            seen_together = [
+                (v, w) for s in access for v, w in itertools.combinations(sorted(s), 2)
+            ]
+            assert (report.reflexive, report.transitive, report.directed, report.linear) == (
+                all(i in access[i] for i in range(n)),
+                all(access[j] <= access[i] for i in range(n) for j in access[i]),
+                all(access[v] & access[w] for v, w in seen_together),
+                all(v in access[w] or w in access[v] for v, w in seen_together),
+            ), access
+            classes.add(report.classification)
+        assert classes == {"linear/S4.3", "directed/S4.2", "preorder/S4", "not-a-preorder"}
+
+    def test_subsets_nine_is_classified_in_under_two_seconds(self):
+        system = arbitrary_set_system(9)
+        start = time.process_time()
+        report = frame_properties(system)
+        assert time.process_time() - start < 2.0
+        assert report.classification == "directed/S4.2"
+
 
 class TestSchemas:
     def test_schema_lookup(self):
@@ -223,6 +265,13 @@ class TestSchemas:
         with pytest.raises(EvalError, match=f"^schema {name} needs two formulas$"):
             check_schema(system, SCHEMAS[name], [(parse_formula("Def(1)"), None)])
         assert system._labels == {}
+
+    def test_system_without_worlds_has_no_counterexamples(self):
+        system = load_system([], [], [])
+        pairs = [(parse_formula("Def(1)"), parse_formula("box Def(0)"))]
+        for schema in SCHEMAS.values():
+            assert check_schema(system, schema, pairs) == []
+        assert search_dot3_counterexample(system) is None
 
     def test_open_instance_rejected(self, sub1):
         with pytest.raises(EvalError):
@@ -355,13 +404,13 @@ class TestTranslationTheorem:
 
     def test_corpus_is_checked_before_any_evaluation(self, monkeypatch):
         calls = []
-        real = PotentialistSystem.decide
+        real = modal._eval
 
-        def counting(self, *args):
-            calls.append(args)
-            return real(self, *args)
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
 
-        monkeypatch.setattr(PotentialistSystem, "decide", counting)
+        monkeypatch.setattr(modal, "_eval", counting)
         corpus = [parse_formula("E x. x = 1"), parse_formula("x = 1")]
         with pytest.raises(EvalError, match="not closed: x = 1"):
             check_translation_theorem(aristotelian_system(3), corpus)
