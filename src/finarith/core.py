@@ -9,6 +9,7 @@ argument outside the domain raises DomainError instead.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -330,12 +331,14 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
         if m.less(x, x):
             fails.append(f"order not irreflexive at {x!r}")
             break
-    pair_pool = (
-        [(a, b) for a in elements for b in elements]
-        if exhaustive
-        else [(rng.choice(elements), rng.choice(elements)) for _ in range(2000)]
-    )
-    for a, b in pair_pool:
+    # Exhaustive sweeps iterate every ordered pair afresh in each group
+    # rather than store size**2 tuples; sampled ones share 2000 drawn pairs.
+    sampled = None if exhaustive else [(rng.choice(elements), rng.choice(elements)) for _ in range(2000)]
+
+    def pair_pool():
+        return itertools.product(elements, repeat=2) if sampled is None else sampled
+
+    for a, b in pair_pool():
         if a != b and not m.less(a, b) and not m.less(b, a):
             fails.append(f"order not linear on {a!r}, {b!r}")
             break
@@ -381,7 +384,7 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
             if m.times(a, zero) != zero:
                 fails.append(f"{a!r} * 0 != 0")
                 break
-        for n, mm in pair_pool:
+        for n, mm in pair_pool():
             sm = m.succ(mm)
             if sm is None:
                 continue

@@ -220,6 +220,8 @@ class InterpretedModel(PartialStructure):
 
     def element(self, value):
         b, k = self.base_value, self.width
+        if type(value) is not int:
+            raise DomainError(f"value {value!r} is not an integer")
         if not 0 <= value < b**k:
             raise DomainError(f"value {value} outside the width-{k} base-{b} range")
         idx = []

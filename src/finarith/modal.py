@@ -258,6 +258,15 @@ def _subset_id(elems):
     return "empty" if not elems else ",".join(str(x) for x in elems)
 
 
+def _supersets(mask, count):
+    """The masks below count that contain mask, ascending: (j + 1) | mask
+    is the least superset of mask above j."""
+    j = mask
+    while j < count:
+        yield j
+        j = (j + 1) | mask
+
+
 def arbitrary_set_system(h):
     """Arbitrary-set potentialism: one world per subset of {0, ..., h},
     ordered by inclusion, converging to the truncation at h.  The empty
@@ -274,7 +283,7 @@ def arbitrary_set_system(h):
         subsets.append(tuple(x for x in range(h + 1) if mask >> x & 1))
     worlds = [SubsetWorld(s) for s in subsets]
     ids = [_subset_id(s) for s in subsets]
-    access = [frozenset(j for j in range(count) if mask & j == mask) for mask in range(count)]
+    access = [frozenset(_supersets(mask, count)) for mask in range(count)]
     return PotentialistSystem(
         worlds, ids, access, limit=Truncation(h) if h >= 1 else SubsetWorld(range(h + 1)),
         validate=False,

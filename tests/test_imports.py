@@ -1,10 +1,12 @@
 """Every name a package module imports is used in that module and imported
 there once, every name it defines at top level and every method of its
-top-level classes is read somewhere in the source tree, and the benchmark's
-entry points into the package resolve."""
+top-level classes is read somewhere in the source tree, the benchmark's
+entry points into the package resolve, and the benchmark's oracle imports
+nothing of the package."""
 import ast
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -163,3 +165,25 @@ def test_benchmark_entry_points_resolve():
     for name, (_span, fn) in tracing.LIBRARY_CALLS.items():
         assert callable(fn), name
     assert isinstance(interp.InstrumentedStructure, type)
+
+
+def imported_modules(source):
+    """The top-level module each import statement names; "." for a relative
+    import."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." if node.level else node.module.split(".")[0]
+
+
+def test_oracle_imports_standard_modules_only():
+    # tests/test_modal_differential.py judges the library by bench/oracles.py,
+    # which is independent only while it shares no code with the package.
+    modules = set(imported_modules((ROOT / "bench" / "oracles.py").read_text()))
+    assert modules and modules <= sys.stdlib_module_names, modules - sys.stdlib_module_names
+
+
+def test_scan_names_every_imported_module():
+    source = "import finarith.logic\nfrom finarith import modal\nfrom . import tracing\nimport re\n"
+    assert sorted(imported_modules(source)) == [".", "finarith", "finarith", "re"]

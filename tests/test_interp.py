@@ -64,6 +64,13 @@ class TestDigitOperations:
         with pytest.raises(DomainError):
             lift100.plus(lift100.zero, other.zero)
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "1", None])
+    def test_element_takes_integers_only(self, lift100, bad):
+        # element(1.5) once made float digits that passed membership, and
+        # plus then raised a bare TypeError; element(True) returned 1.
+        with pytest.raises(DomainError):
+            lift100.element(bad)
+
     def test_iter_below_is_the_definitional_initial_segment(self):
         mp = build_plus_model(make_truncation(9))  # b = 3, k = 5: 243 elements
         for v in (0, 1, 2, 3, 100, mp.size() - 1):

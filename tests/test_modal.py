@@ -47,6 +47,12 @@ class TestConstruction:
         assert len(sub1.worlds) == 4
         assert set(sub1.ids) == {"empty", "0", "1", "0,1"}
 
+    @pytest.mark.parametrize("h", range(6))
+    def test_subsets_reach_exactly_their_supersets(self, h):
+        count = 1 << (h + 1)
+        s = arbitrary_set_system(h)
+        assert s.access == [frozenset(j for j in range(count) if mask & j == mask) for mask in range(count)]
+
     def test_world_count_budget(self):
         with pytest.raises(DomainError):
             arbitrary_set_system(20)

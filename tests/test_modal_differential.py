@@ -1,93 +1,61 @@
 """Differential checks of eval_modal, the schema checks, the Dot3 search
-and ``fa eval --trace`` against a definitional Kripke evaluator.
+and ``fa eval --trace`` against the Kripke oracle in bench/oracles.py.
 
-The reference below follows the textbook clauses directly, with no labels,
-so a wrong label key in the library (for instance one that drops a free
-variable of a dia/box body) shows up as a disagreement.  The schema checks
-and the Dot3 search are checked against instances built and evaluated
-here, and the trace against a scan of each quantifier's range.
+That oracle states the textbook clauses directly, with its own parser and
+arithmetic, no labels and no finarith import (tests/test_imports.py pins
+the last).  Every expected value below is one of its verdicts: truth is
+its ``holds``/``fo_holds``, schema instances are its ``schema_instance``
+and traces its ``quantifier_trace``.  Formulas reach it as printed text,
+``oracles.parse(print_formula(f))``, so the printer is checked too.  Its
+frames are its own ``aristotelian_frame``, ``subsets_frame`` and
+``fork_frame``, or are built from a drawn family's domains and pairs, and
+are checked to have the library system's ids, worlds and access.  A
+wrong label key in the library (for instance one that drops a free
+variable of a dia/box body) shows up as a disagreement.
 """
 import io
 import itertools
 import json
 from functools import lru_cache
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_properties import subset_families
+from test_properties import oracle_frame, oracles, subset_families
 
 from finarith import modal
 from finarith.cli import main
-from finarith.core import SubsetWorld, make_subset_world, make_truncation
+from finarith.core import SubsetWorld
 from finarith.logic import (
     And, Const0, Const1, ConstN, Defined, Eq, Exists, Forall, Implies, Lt,
     Necessarily, Not, Or, PlusAtom, Possibly, Prod, Succ, Sum, TimesAtom, Var,
-    print_formula,
+    parse_formula, print_formula,
 )
 from finarith.modal import (
     SCHEMAS, aristotelian_system, arbitrary_set_system, check_schema, eval_modal,
     fork_system, load_system, search_dot3_counterexample,
 )
 
-SYSTEMS = [fork_system(), arbitrary_set_system(1), arbitrary_set_system(2), aristotelian_system(4)]
+SYSTEMS = [
+    (fork_system(), oracles.fork_frame()),
+    (arbitrary_set_system(1), oracles.subsets_frame(1)),
+    (arbitrary_set_system(2), oracles.subsets_frame(2)),
+    (aristotelian_system(4), oracles.aristotelian_frame(4)),
+]
 VARS = ("x", "y")
 
 
-def ref_term(w, t, a):
-    match t:
-        case Var(name):
-            return a[name]
-        case Const0():
-            return w.zero
-        case Const1():
-            return w.one
-        case ConstN():
-            return w.largest
-        case Succ(s):
-            x = ref_term(w, s, a)
-            return None if x is None else w.succ(x)
-        case Sum(l, r) | Prod(l, r):
-            x, y = ref_term(w, l, a), ref_term(w, r, a)
-            op = w.plus if isinstance(t, Sum) else w.times
-            return None if x is None or y is None else op(x, y)
+def as_oracle(f):
+    """f as the oracle reads it: its printed text, parsed by the oracle."""
+    return oracles.parse(print_formula(f))
 
 
-def ref_range(w, bound, a):
-    """The elements of w a quantifier with this bound ranges over."""
-    if bound is None:
-        return list(w)
-    b = ref_term(w, bound, a)
-    return [] if b is None else [x for x in w if w.less(x, b)]
-
-
-def ref_eval(sys, i, f, a):
-    w = sys.worlds[i]
-    match f:
-        case Eq(l, r) | Lt(l, r):
-            x, y = ref_term(w, l, a), ref_term(w, r, a)
-            return x is not None and y is not None and (x == y if isinstance(f, Eq) else w.less(x, y))
-        case Defined(t):
-            return ref_term(w, t, a) is not None
-        case PlusAtom(s, t, u) | TimesAtom(s, t, u):
-            x, y, z = (ref_term(w, g, a) for g in (s, t, u))
-            op = w.plus if isinstance(f, PlusAtom) else w.times
-            return None not in (x, y, z) and op(x, y) == z
-        case Not(g):
-            return not ref_eval(sys, i, g, a)
-        case And(l, r):
-            return ref_eval(sys, i, l, a) and ref_eval(sys, i, r, a)
-        case Or(l, r):
-            return ref_eval(sys, i, l, a) or ref_eval(sys, i, r, a)
-        case Implies(l, r):
-            return not ref_eval(sys, i, l, a) or ref_eval(sys, i, r, a)
-        case Forall(v, bound, g) | Exists(v, bound, g):
-            test = all if isinstance(f, Forall) else any
-            return test(ref_eval(sys, i, g, {**a, v: x}) for x in ref_range(w, bound, a))
-        case Possibly(g) | Necessarily(g):
-            test = any if isinstance(f, Possibly) else all
-            return test(ref_eval(sys, j, g, a) for j in sys.access[i])
+def same_frame(sys, frame):
+    """Assert that the oracle's frame is the system: the same ids, worlds
+    (domain and largest element) and access sets."""
+    assert frame.ids == sys.ids
+    assert [(set(w), w.largest) for w in sys.worlds] == [(set(v.dom), v.top) for v in frame.worlds]
+    assert sys.access == [frozenset(a) for a in frame.access]
 
 
 @lru_cache(maxsize=None)
@@ -143,37 +111,43 @@ open_modal = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(formulas(frozenset(), 3))
 def test_closed_formulas_match_definitional_semantics(f):
-    for sys in SYSTEMS:
+    g = as_oracle(f)
+    for sys, frame in SYSTEMS:
+        same_frame(sys, frame)
         for i in range(len(sys.worlds)):
-            assert eval_modal(sys, i, f) == ref_eval(sys, i, f, {}), (sys.ids[i], f)
+            assert eval_modal(sys, i, f) == oracles.holds(g, frame, i, {}), (sys.ids[i], f)
 
 
 @settings(max_examples=150, deadline=None)
 @given(open_modal, st.sampled_from([Forall, Exists]))
 def test_free_variable_under_modality_matches_definitional_semantics(f, q):
     closed = q("x", None, f)
-    for sys in SYSTEMS:
+    g, closed_g = as_oracle(f), as_oracle(closed)
+    for sys, frame in SYSTEMS:
+        same_frame(sys, frame)
         for i, w in enumerate(sys.worlds):
             for x in w:
-                assert eval_modal(sys, i, f, {"x": x}) == ref_eval(sys, i, f, {"x": x}), (sys.ids[i], x, f)
-            assert eval_modal(sys, i, closed) == ref_eval(sys, i, closed, {}), (sys.ids[i], closed)
+                assert eval_modal(sys, i, f, {"x": x}) == oracles.holds(g, frame, i, {"x": x}), (sys.ids[i], x, f)
+            assert eval_modal(sys, i, closed) == oracles.holds(closed_g, frame, i, {}), (sys.ids[i], closed)
 
 
-def ref_decide(sys, i, f, a):
-    """(truth of the dia/box f at world i, the least accessible world
-    where its body holds (dia) or fails (box), or None)."""
-    want = isinstance(f, Possibly)
-    deciders = [j for j in sorted(sys.access[i]) if ref_eval(sys, j, f.body, a) == want]
-    return (want, deciders[0]) if deciders else (not want, None)
+def ref_decide(frame, i, g, env):
+    """(truth of the oracle's dia/box g at world i, the least accessible
+    world where its body holds (dia) or fails (box), or None)."""
+    want = g[0] == "dia"
+    for j in sorted(frame.access[i]):
+        if oracles.holds(g[1], frame, j, env) == want:
+            return want, j
+    return not want, None
 
 
-def modal_nodes(f):
-    """The dia/box nodes of f outside its quantifiers and atoms, outermost
-    first; in a closed f they are closed."""
-    if isinstance(f, (Possibly, Necessarily)):
-        yield f
-    for child in (getattr(f, field) for field in f.__match_args__):
-        if isinstance(child, (Possibly, Necessarily, Not, And, Or, Implies)):
+def modal_nodes(g):
+    """The dia/box nodes of the oracle's formula g outside its quantifiers
+    and atoms, outermost first; in a closed g they are closed."""
+    if g[0] in ("dia", "box"):
+        yield g
+    if g[0] in ("!", "&", "|", "->", "dia", "box"):
+        for child in g[1:]:
             yield from modal_nodes(child)
 
 
@@ -189,44 +163,58 @@ def test_schema_hits_and_deciding_worlds_match_definitional_semantics(family, pa
         sys = load_system([SubsetWorld(d) for d in domains], [str(i) for i in range(len(domains))], access)
     except ValueError:
         assume(False)
+    frame = oracle_frame(domains, access)
+    same_frame(sys, frame)
     for schema in SCHEMAS.values():
         hits = check_schema(sys, schema, pairs)
         want = []
         for phi, psi in pairs:
             psi = psi if schema.arity == 2 else None
-            inst = schema.instantiate(phi, psi)
-            want += [(wid, phi, psi) for i, wid in enumerate(sys.ids) if not ref_eval(sys, i, inst, {})]
-            for i in range(len(sys.worlds)):
-                for g in modal_nodes(inst):
-                    assert sys.decide(i, g) == ref_decide(sys, i, g, {}), (sys.ids[i], g)
+            inst = oracles.schema_instance(schema.name, as_oracle(phi), None if psi is None else as_oracle(psi))
+            # A schema of the wrong shape may still agree on every drawn frame
+            # (dia dia phi for box dia phi holds on every reflexive one).
+            assert as_oracle(schema.instantiate(phi, psi)) == inst, schema.name
+            want += [(wid, phi, psi) for i, wid in enumerate(frame.ids) if not oracles.holds(inst, frame, i, {})]
+            for g in modal_nodes(inst):
+                node = parse_formula(oracles.show(g))
+                for i, wid in enumerate(frame.ids):
+                    assert sys.decide(i, node) == ref_decide(frame, i, g, {}), (wid, node)
         assert [(h.world_id, h.phi, h.psi) for h in hits] == want, schema.name
+    g = as_oracle(f)
     for i, w in enumerate(sys.worlds):
         for x in w:
-            assert sys.decide(i, f, {"x": x}) == ref_decide(sys, i, f, {"x": x}), (sys.ids[i], x, f)
+            assert sys.decide(i, f, {"x": x}) == ref_decide(frame, i, g, {"x": x}), (sys.ids[i], x, f)
 
 
-def ref_dot3_search(sys, budget):
-    """The first (world id, phi, psi) where the Dot3 instance of a pool
-    pair, taken in the search's order, fails by ref_eval; or None."""
-    pairs = modal._diagonal_pairs(modal._generated_formulas())
-    for phi, psi in itertools.islice(pairs, budget):
-        inst = SCHEMAS["Dot3"].instantiate(phi, psi)
-        for i, wid in enumerate(sys.ids):
-            if not ref_eval(sys, i, inst, {}):
+def ref_dot3_search(frame, budget):
+    """The first (world id, phi, psi) where the oracle's Dot3 instance of a
+    pool pair, taken in the search's order, fails; or None."""
+    pool = modal._generated_formulas()
+    text = {f: as_oracle(f) for f in pool}
+    for phi, psi in itertools.islice(modal._diagonal_pairs(pool), budget):
+        inst = oracles.schema_instance("Dot3", text[phi], text[psi])
+        for i, wid in enumerate(frame.ids):
+            if not oracles.holds(inst, frame, i, {}):
                 return wid, phi, psi
     return None
 
 
-@pytest.mark.parametrize("make", [
-    lambda: aristotelian_system(2), lambda: aristotelian_system(3), lambda: aristotelian_system(6),
-    lambda: arbitrary_set_system(1), lambda: arbitrary_set_system(2), lambda: arbitrary_set_system(3),
-    fork_system,
+@pytest.mark.parametrize("make, frame", [
+    (lambda: aristotelian_system(2), oracles.aristotelian_frame(2)),
+    (lambda: aristotelian_system(3), oracles.aristotelian_frame(3)),
+    (lambda: aristotelian_system(6), oracles.aristotelian_frame(6)),
+    (lambda: arbitrary_set_system(1), oracles.subsets_frame(1)),
+    (lambda: arbitrary_set_system(2), oracles.subsets_frame(2)),
+    (lambda: arbitrary_set_system(3), oracles.subsets_frame(3)),
+    (fork_system, oracles.fork_frame()),
 ], ids=["aristotelian2", "aristotelian3", "aristotelian6", "subsets1", "subsets2", "subsets3", "fork"])
 @pytest.mark.parametrize("budget", [200, 5000])
-def test_dot3_search_matches_a_definitional_scan(make, budget):
-    witness = search_dot3_counterexample(make(), generator_budget=budget)
+def test_dot3_search_matches_a_definitional_scan(make, frame, budget):
+    sys = make()
+    same_frame(sys, frame)
+    witness = search_dot3_counterexample(sys, generator_budget=budget)
     found = None if witness is None else (witness.world_id, witness.phi, witness.psi)
-    assert found == ref_dot3_search(make(), budget)
+    assert found == ref_dot3_search(frame, budget)
 
 
 def quantifier_chains(scope, depth):
@@ -251,43 +239,23 @@ def quantifier_chains(scope, depth):
     )
 
 
-# (CLI model flags, the same model built here)
+# (CLI model flags, the oracle's world of the same model)
 TRACE_MODELS = [
-    (["--trunc", "3"], make_truncation(3)),
-    (["--trunc", "6"], make_truncation(6)),
-    (["--subset", "0,1,2,3"], make_subset_world([0, 1, 2, 3])),
-    (["--subset", "0,2,3,5"], make_subset_world([0, 2, 3, 5])),
-    (["--subset", "1,2"], make_subset_world([1, 2])),
+    (["--trunc", "3"], oracles.truncation(3)),
+    (["--trunc", "6"], oracles.truncation(6)),
+    (["--subset", "0,1,2,3"], oracles.subset_world([0, 1, 2, 3])),
+    (["--subset", "0,2,3,5"], oracles.subset_world([0, 2, 3, 5])),
+    (["--subset", "1,2"], oracles.subset_world([1, 2])),
 ]
-
-
-def ref_trace(w, f):
-    """Each leading quantifier's least deciding element: the least element
-    of its range where the body holds (E) or fails (A).  The chain stops at
-    the first quantifier with none."""
-    sys, a, steps = SimpleNamespace(worlds=[w]), {}, []
-    while isinstance(f, (Forall, Exists)):
-        want = isinstance(f, Exists)
-        deciders = [
-            x for x in ref_range(w, f.bound, a)
-            if ref_eval(sys, 0, f.body, {**a, f.var: x}) == want
-        ]
-        if not deciders:
-            break
-        x = min(deciders, key=w.valuation)
-        kind = "witness" if want else "counterexample"
-        steps.append({"kind": kind, "var": f.var, "value": w.valuation(x)})
-        a = {**a, f.var: x}
-        f = f.body
-    return steps
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 3).flatmap(lambda depth: quantifier_chains(frozenset(), depth)))
 def test_trace_names_the_least_deciding_element_of_each_level(f):
-    for flags, w in TRACE_MODELS:
+    g = as_oracle(f)
+    for flags, world in TRACE_MODELS:
         out = io.StringIO()
         assert main(["--format", "json", "eval", *flags, "--trace", print_formula(f)], out=out) == 0
         result = json.loads(out.getvalue())["results"][0]
-        assert result["value"] == ref_eval(SimpleNamespace(worlds=[w]), 0, f, {}), (flags, f)
-        assert result["trace"] == ref_trace(w, f), (flags, f)
+        assert result["value"] == oracles.fo_holds(g, world), (flags, f)
+        assert result["trace"] == oracles.quantifier_trace(g, world), (flags, f)
