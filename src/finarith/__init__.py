@@ -15,7 +15,7 @@ from .errors import (
     WrongEvaluatorError,
 )
 from .interp import (
-    DigitString, InterpParams, InterpretedModel, Tower, build_plus_model,
+    DigitString, InterpretedModel, Tower, build_plus_model,
     build_tower, check_bounded_induction, embed_initial, limit_eval,
     verify_biinterpretation, verify_induction_lex,
 )

@@ -307,7 +307,6 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
         elements = list(m)
     else:
         elements = sample_elements(m, 256, rng)
-    elem_set = set(elements)
 
     groups = {}
 
@@ -362,7 +361,7 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
         if not m.less(a, s):
             fails.append(f"successor of {a!r} is not above it")
             break
-        for b in elem_set:
+        for b in elements:
             if m.less(a, b) and m.less(b, s):
                 fails.append(f"{b!r} lies strictly between {a!r} and its successor")
                 break

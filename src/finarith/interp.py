@@ -29,19 +29,6 @@ from .logic import (
 )
 
 
-@dataclass(frozen=True)
-class InterpParams:
-    base: object  # ground element b
-    base_value: int  # its numeric value (oracle bookkeeping)
-    width: int
-
-    def __post_init__(self):
-        if self.base_value < 2:
-            raise AdmissibilityError("digit base must be at least 2")
-        if self.width < 2:
-            raise AdmissibilityError("digit width must be at least 2")
-
-
 class DigitString:
     """A width-k base-b digit sequence, most significant digit first.
 
@@ -85,28 +72,29 @@ class InterpretedModel(PartialStructure):
     """The taller model built from width-k base-b digit strings over a
     ground FA model.  Satisfies FA with the all-(b-1) string on top.
 
-    Construction walks the digit roster 0, 1, ..., b-1 by ground successor:
-    ``digits`` lists the ground digits, ``index`` maps each back to its
-    position, and ``base_value`` is b, the roster length.  The carry/digit
-    tables fill themselves on first use, each entry once, by one genuine
-    ground operation on digits below b.
+    ``InterpretedModel(ground, base, width)`` takes the ground element b
+    and the width k.  Construction walks the digit roster 0, 1, ..., b-1 by
+    ground successor: ``digits`` lists the ground digits, ``index`` maps
+    each back to its position, and ``base_value`` is b, the roster length.
+    The carry/digit tables fill themselves on first use, each entry once,
+    by one genuine ground operation on digits below b.
     """
 
-    def __init__(self, ground, params):
+    def __init__(self, ground, base, width):
         if ground.zero is None or ground.one is None:
             raise DomainError("ground model must interpret 0 and 1")
+        if width < 2:
+            raise AdmissibilityError("digit width must be at least 2")
         self.ground = ground
-        self.base = params.base
-        self.width = k = params.width
+        self.base = base
+        self.width = k = width
         digits = [ground.zero]
-        while (nxt := ground.succ(digits[-1])) != params.base:
+        while (nxt := ground.succ(digits[-1])) != base:
             if nxt is None:
                 raise AdmissibilityError("ground model ends before the base")
             digits.append(nxt)
-        if len(digits) != params.base_value:
-            raise AdmissibilityError(
-                f"base has value {len(digits)} in the ground model, not {params.base_value}"
-            )
+        if len(digits) < 2:
+            raise AdmissibilityError("digit base must be at least 2")
         self.digits = digits
         self.index = index = {d: i for i, d in enumerate(digits)}
         self.base_value = b = len(digits)
@@ -244,23 +232,25 @@ def minimal_admissible_width(base_value, top_value):
 
 
 def build_plus_model(m, width=5, base=None):
-    """The taller model over m: width-k digit strings in the largest base
-    whose square exists in m.  Requires b**k - 1 >= N**2 so that N**2 exists
-    upstairs and all ground sums and products become defined."""
+    """The taller model over m, InterpretedModel(m, base, width): width-k
+    digit strings in base b, by default the largest base whose square
+    exists in m.  Requires k at least minimal_admissible_width, that is
+    b**k - 1 >= N**2, so that N**2 exists upstairs and all ground sums and
+    products become defined."""
     if base is None:
         base = largest_square_base(m)
     bv = m.valuation(base)
     top = m.valuation(m.order_max())
-    if bv < 2:
+    if bv < 2:  # minimal_admissible_width never returns for such a base
         raise AdmissibilityError(f"largest square base {bv} is below 2; the model is too short")
-    if bv**width - 1 < top * top:
-        k_min = minimal_admissible_width(bv, top)
+    k_min = minimal_admissible_width(bv, top)
+    if width < k_min:
         raise AdmissibilityError(
             f"width {width} in base {bv} cannot reach N^2 = {top * top}; "
             f"minimal admissible width is {k_min}",
             minimal_width=k_min,
         )
-    return InterpretedModel(m, InterpParams(base, bv, width))
+    return InterpretedModel(m, base, width)
 
 
 def embed_initial(m, m_plus):

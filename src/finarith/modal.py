@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .core import SubsetWorld, Truncation
 from .errors import DomainError, EvalError
@@ -43,16 +44,15 @@ class PotentialistSystem:
     ``access[i]`` is the frozenset of indices reachable from world i
     (including i itself once validated reflexive).  Worlds are addressed by
     index or by their string id.  Atoms, connectives and quantifiers run
-    through the first-order recursion of ``logic`` at the current world;
-    the system decides only dia/box, by labels (see the module docstring).
-    ``_labels`` maps (formula, values of its free variables in sorted
-    order) to its two masks.  A body with free variables is labeled only at
-    worlds reachable from the querying world, where the individuals
+    through the first-order recursion of ``logic`` at the world being
+    evaluated; the system decides only dia/box, by labels (see the module
+    docstring).  ``_labels`` maps (formula, values of its free variables in
+    sorted order) to its two masks.  A body with free variables is labeled
+    only at worlds reachable from the querying world, where the individuals
     assigned to it exist.  _label gives a closed formula's label at every
-    world, composed for connectives and dia/box.  ``_world`` is the world
-    the recursion is at, whose access mask a dia/box met there reads; so a
-    system answers one query at a time, and is not to be shared between
-    threads.
+    world, composed for connectives and dia/box.  Each evaluation is handed
+    a modal callback bound to its own world, so queries may nest: a world's
+    operations may themselves query the system.
     """
 
     def __init__(self, worlds, ids, access, limit=None, validate=True):
@@ -70,7 +70,6 @@ class PotentialistSystem:
         self._reach = [sum(1 << j for j in s) for s in self.access]
         self._everywhere = (1 << len(self.worlds)) - 1
         self._labels = {}
-        self._world = None
 
     def resolve(self, world):
         """Accept an index or an id; return the index."""
@@ -147,18 +146,18 @@ class PotentialistSystem:
             for v in _free_vars(f):
                 if v not in a:
                     raise EvalError(f"unassigned variable {v!r}")
-            self._world = i
             if isinstance(f, (Possibly, Necessarily)):
-                return self._modal(f, a)
-            return _eval(self.worlds[i], f, a, self._modal), None
+                return self._modal(i, f, a)
+            return _eval(self.worlds[i], f, a, partial(self._modal, i)), None
         except RecursionError as exc:
             raise EvalError("formula is nested too deeply") from exc
 
-    def _modal(self, f, assignment):
-        """The modal callback of _eval: (truth of the dia/box f at _world,
-        deciding world), read from the label of f's body."""
+    def _modal(self, i, f, assignment):
+        """The modal callback of _eval at world i, bound by partial: (truth
+        of the dia/box f at i, deciding world), read from the label of f's
+        body."""
         want = type(f) is Possibly  # dia stops at a true body, box at a false one
-        found = self._fill(f.body, assignment, self._reach[self._world], want)
+        found = self._fill(f.body, assignment, self._reach[i], want)
         return (want, found.bit_length() - 1) if found else (not want, None)
 
     def _fill(self, f, assignment, worlds, want=None):
@@ -175,11 +174,10 @@ class PotentialistSystem:
             found &= -found
         todo = worlds & ~known & (found - 1)  # below found; everything when found is 0
         if todo:
-            here, modal = self._world, self._modal
             while todo:
                 bit = todo & -todo
-                j = self._world = bit.bit_length() - 1
-                truth = _eval(self.worlds[j], f, assignment, modal)
+                j = bit.bit_length() - 1
+                truth = _eval(self.worlds[j], f, assignment, partial(self._modal, j))
                 known |= bit
                 if truth:
                     holds |= bit
@@ -187,7 +185,6 @@ class PotentialistSystem:
                     found = bit
                     break
                 todo ^= bit
-            self._world = here
             self._labels[key] = known, holds
         return found
 

@@ -14,7 +14,7 @@ from finarith.core import check_fa_axioms, largest_square_base, make_truncation
 from finarith.corpus import load_packaged_formulas, load_packaged_pairs
 from finarith.errors import DomainError
 from finarith.interp import (
-    InstrumentedStructure, InterpParams, InterpretedModel, build_plus_model,
+    InstrumentedStructure, InterpretedModel, build_plus_model,
     build_tower, check_bounded_induction, embed_initial, limit_eval,
 )
 from finarith.logic import eval_formula, parse_formula
@@ -40,7 +40,7 @@ def test_criterion_02_digit_arithmetic_oracle_equivalence():
     k <= 4; 10^5 random pairs for b = 10, k = 5."""
     for b in (2, 3, 4, 5):
         for k in (2, 3, 4):
-            mp = InterpretedModel(make_truncation(b * b), InterpParams(b, b, k))
+            mp = InterpretedModel(make_truncation(b * b), b, k)
             size = b**k
             elems = [mp.element(v) for v in range(size)]
             for x in range(size):
@@ -53,7 +53,7 @@ def test_criterion_02_digit_arithmetic_oracle_equivalence():
                     assert (p is None) == (x * y >= size)
                     assert p is None or mp.valuation(p) == x * y
 
-    mp = InterpretedModel(make_truncation(100), InterpParams(10, 10, 5))
+    mp = InterpretedModel(make_truncation(100), 10, 5)
     rng = random.Random(0)
     size = 10**5
     for _ in range(10**5):

@@ -210,6 +210,17 @@ class TestAxiomChecks:
         report = check_fa_axioms(make_subset_world({0, 1, 2, 5}))
         assert not report.passed
 
+    def test_successor_gap_names_the_least_element_inside_it(self):
+        class LongStep(SubsetWorld):
+            # 1 + 1 = 100 skips 9 and 33.
+            def _plus(self, a, b):
+                return 100 if (a, b) == (1, 1) else super()._plus(a, b)
+
+        report = check_fa_axioms(LongStep([0, 1, 9, 33, 100]))
+        assert report.groups["successor"].failures == [
+            "9 lies strictly between 1 and its successor"
+        ]
+
     def test_reports_carry_failures(self):
         report = check_fa_axioms(make_subset_world({2, 3}))
         assert report.failures()

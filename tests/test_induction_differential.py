@@ -17,7 +17,7 @@ from finarith.core import (
     Truncation, check_fa_axioms, induction_fails, make_subset_world, make_truncation,
 )
 from finarith.corpus import load_packaged_formulas
-from finarith.interp import InterpParams, InterpretedModel
+from finarith.interp import InterpretedModel
 from finarith.logic import (
     And, Exists, Forall, Implies, Not, Or, eval_formula, free_variables,
     induction_instance, parse_formula, print_formula,
@@ -44,8 +44,8 @@ class StepGap(Truncation):
 STRUCTURES = (
     [make_truncation(n) for n in range(1, 13)]
     + [
-        InterpretedModel(make_truncation(4), InterpParams(2, 2, 3)),
-        InterpretedModel(make_truncation(9), InterpParams(3, 3, 3)),
+        InterpretedModel(make_truncation(4), 2, 3),
+        InterpretedModel(make_truncation(9), 3, 3),
         LoopingSuccessor(3),
         TopStepsBack(3),
         StepGap(3),

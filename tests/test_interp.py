@@ -8,7 +8,7 @@ from finarith.core import make_truncation
 from finarith.corpus import load_packaged_formulas
 from finarith.errors import AdmissibilityError, DomainError, EvalError
 from finarith.interp import (
-    InstrumentedStructure, InterpParams, InterpretedModel, build_plus_model,
+    InstrumentedStructure, InterpretedModel, build_plus_model,
     build_tower, check_bounded_induction, embed_initial, limit_eval,
     minimal_admissible_width, verify_biinterpretation, verify_induction_lex,
 )
@@ -85,7 +85,7 @@ class TestDigitOperations:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("b,k", [(2, 2), (2, 4), (3, 3), (5, 3)])
     def test_exhaustive_small_bases(self, b, k):
-        mp = InterpretedModel(make_truncation(b * b), InterpParams(b, b, k))
+        mp = InterpretedModel(make_truncation(b * b), b, k)
         size = b**k
         elems = [mp.element(v) for v in range(size)]
         for x in range(size):
@@ -100,13 +100,13 @@ class TestOracleEquivalence:
                     assert mp.valuation(p) == x * y
 
     def test_succ_pattern(self):
-        mp = InterpretedModel(make_truncation(9), InterpParams(3, 3, 4))
+        mp = InterpretedModel(make_truncation(9), 3, 4)
         for v in range(80):
             assert mp.valuation(mp.succ(mp.element(v))) == v + 1
         assert mp.succ(mp.element(80)) is None
 
     def test_order_isomorphic_to_numeric(self):
-        mp = InterpretedModel(make_truncation(4), InterpParams(2, 2, 4))
+        mp = InterpretedModel(make_truncation(4), 2, 4)
         elems = [mp.element(v) for v in range(16)]
         for x in range(16):
             for y in range(16):
@@ -130,9 +130,14 @@ class TestBuildPlusModel:
         assert exc.value.minimal_width == 7
         assert minimal_admissible_width(2, 8) == 7
 
-    def test_base_value_must_match_the_walked_roster(self):
-        with pytest.raises(AdmissibilityError, match="value 3 in the ground model, not 7"):
-            InterpretedModel(make_truncation(9), InterpParams(3, 7, 4))
+    @pytest.mark.parametrize("base, width, message", [
+        (1, 4, "digit base must be at least 2"),
+        (3, 1, "digit width must be at least 2"),
+        (20, 4, "ground model ends before the base"),
+    ])
+    def test_direct_construction_refusals(self, base, width, message):
+        with pytest.raises(AdmissibilityError, match=message):
+            InterpretedModel(make_truncation(9), base, width)
 
     def test_width_nine_succeeds_for_eight(self):
         mp = build_plus_model(make_truncation(8), width=7)

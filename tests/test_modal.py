@@ -155,6 +155,24 @@ class TestEvalModal:
         assert ari30.decide("3", parse_formula("box Def(1)")) == (True, None)
         assert ari30.decide("3", parse_formula("Def(1)")) == (True, None)
 
+    def test_a_query_nested_in_a_world_operation_keeps_the_outer_world(self):
+        class Querying(SubsetWorld):
+            """Asks the system a question at top before each sum."""
+            system = None
+
+            def _plus(self, a, b):
+                if self.system is not None:
+                    self.system.decide("top", parse_formula("Def(0)"))
+                return super()._plus(a, b)
+
+        worlds = [Querying({0}), Querying({0, 1}), Querying({0, 1, 2})]
+        pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+        s = load_system(worlds, ["bottom", "mid", "top"], pairs)
+        for w in worlds:
+            w.system = s
+        f = parse_formula("Def(0 + 0) & dia !Def(1 + 1)")
+        assert [s.decide(w, f)[0] for w in s.ids] == [True, True, False]
+
     def test_single_world_reflexive_collapse(self):
         s = aristotelian_system(1)
         for text in ("Def(1)", "A a. E b. b = a + 1", "E x. x = N"):

@@ -186,6 +186,32 @@ def test_schema_hits_and_deciding_worlds_match_definitional_semantics(family, pa
             assert sys.decide(i, f, {"x": x}) == ref_decide(frame, i, g, {"x": x}), (sys.ids[i], x, f)
 
 
+# Closed formulas whose labels split the worlds: on the fork, Def(1) holds
+# at left only and the existential at right only; Def(1 + 1) splits the
+# subsets of {0, 1, 2}.
+SPLITTING = [parse_formula(t) for t in ("Def(1)", "Def(1 + 1)", "E x. (0 < x & !Def(1))")]
+SPLITTING += [Not(f) for f in SPLITTING]
+
+
+# (system, its oracle frame, the schemas the pool must refute there): the
+# fork is neither directed nor linear, and the pool's labels show it.
+@pytest.mark.parametrize("sys, frame, refuted", [
+    (*SYSTEMS[0], {"Dot2", "Dot3"}), (*SYSTEMS[1], set()), (*SYSTEMS[2], set()),
+], ids=["fork", "subsets1", "subsets2"])
+@pytest.mark.parametrize("schema", SCHEMAS.values(), ids=list(SCHEMAS))
+def test_schema_hits_over_splitting_pairs_match_definitional_semantics(sys, frame, refuted, schema):
+    same_frame(sys, frame)
+    pairs = list(itertools.product(SPLITTING, repeat=2))
+    want = []
+    for phi, psi in pairs:
+        psi = psi if schema.arity == 2 else None
+        inst = oracles.schema_instance(schema.name, as_oracle(phi), None if psi is None else as_oracle(psi))
+        want += [(wid, phi, psi) for i, wid in enumerate(frame.ids) if not oracles.holds(inst, frame, i, {})]
+    hits = check_schema(sys, schema, pairs)
+    assert [(h.world_id, h.phi, h.psi) for h in hits] == want
+    assert want or schema.name not in refuted
+
+
 def ref_dot3_search(frame, budget):
     """The first (world id, phi, psi) where the oracle's Dot3 instance of a
     pool pair, taken in the search's order, fails; or None."""

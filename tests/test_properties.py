@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from finarith.core import SubsetWorld, Truncation, make_truncation
 from finarith.corpus import load_packaged_formulas, load_packaged_pairs
-from finarith.interp import InterpParams, InterpretedModel, build_plus_model
+from finarith.interp import InterpretedModel, build_plus_model
 from finarith.logic import (
     Var, eval_formula, eval_term, free_variables, parse_formula, parse_term,
     print_formula, substitute,
@@ -86,7 +86,7 @@ def test_downward_definedness(n, m_, h):
     data=st.data(),
 )
 def test_digit_ops_against_valuation_oracle(b, k, data):
-    mp = InterpretedModel(make_truncation(b * b), InterpParams(b, b, k))
+    mp = InterpretedModel(make_truncation(b * b), b, k)
     size = b**k
     x = data.draw(st.integers(min_value=0, max_value=size - 1))
     y = data.draw(st.integers(min_value=0, max_value=size - 1))
