@@ -7,13 +7,18 @@ and two self-filling tables: the carry and digit of a digit sum, and the
 high and low digits of a digit product.  Order is lexical; successor,
 addition, and multiplication run the grade-school algorithms column by
 column and consult the ground model only through those tables, that is,
-only for arithmetic on individual digits (all below b).  Splitting a digit
-sum or product into its two digits is bookkeeping on digit positions, which
-never touches a quantity as large as b*b.
+only for arithmetic on individual digits (all below b).
+
+Filling a table entry makes these ground operations, on digits below b: a
+digit sum asks for the sum itself, after the successor of the first digit
+when a carry comes in; a digit product asks for the product only to check
+that it is defined.  The rest is bookkeeping on digit positions, in Python
+integers: the digit i + j - b of a sum that leaves the roster, the high and
+low digits divmod(i * j, b) of a product, where i * j is up to (b-1)**2,
+and the table keys, which are below 2*b*b.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -76,8 +81,23 @@ class InterpretedModel(PartialStructure):
     and the width k.  Construction walks the digit roster 0, 1, ..., b-1 by
     ground successor: ``digits`` lists the ground digits, ``index`` maps
     each back to its position, and ``base_value`` is b, the roster length.
-    The carry/digit tables fill themselves on first use, each entry once,
-    by one genuine ground operation on digits below b.
+
+    The tables are dicts keyed by ints over digit positions:
+    ``_adds[(c*b + i)*b + j]`` holds the (carry, digit) of digits[i] +
+    digits[j] + c, with c in {0, 1}, and ``_muls[i*b + j]`` the (high, low)
+    digits of digits[i] * digits[j].  The operations read them inline and
+    call ``_fill_add``/``_fill_mul`` on a miss, so each entry is filled once,
+    by genuine ground operations on digits below b.
+
+    Construction asks the ground model nothing beyond the roster walk, so it
+    does not check that b's square exists there.  A base past the square
+    bound builds, and its first digit product whose ground product is
+    undefined raises DomainError; build_plus_model picks the largest base
+    with a square and never meets this.
+
+    ``zero``, ``one`` and ``largest`` are built on each read: the model
+    holds no reference to itself, so reference counting frees it, and with
+    it every stage of a tower, without the cycle collector.
     """
 
     def __init__(self, ground, base, width):
@@ -87,7 +107,7 @@ class InterpretedModel(PartialStructure):
             raise AdmissibilityError("digit width must be at least 2")
         self.ground = ground
         self.base = base
-        self.width = k = width
+        self.width = width
         digits = [ground.zero]
         while (nxt := ground.succ(digits[-1])) != base:
             if nxt is None:
@@ -96,31 +116,45 @@ class InterpretedModel(PartialStructure):
         if len(digits) < 2:
             raise AdmissibilityError("digit base must be at least 2")
         self.digits = digits
-        self.index = index = {d: i for i, d in enumerate(digits)}
-        self.base_value = b = len(digits)
+        self.index = {d: i for i, d in enumerate(digits)}
+        self.base_value = len(digits)
+        self._adds = {}
+        self._muls = {}
 
-        @functools.cache
-        def add3(i, j, c):
-            """(carry, digit) of digits[i] + digits[j] + c, with c in {0, 1}."""
+    @property
+    def zero(self):
+        return DigitString(self, (0,) * self.width)
+
+    @property
+    def one(self):
+        return DigitString(self, (0,) * (self.width - 1) + (1,))
+
+    @property
+    def largest(self):
+        return DigitString(self, (self.base_value - 1,) * self.width)
+
+    def _fill_add(self, i, j, c):
+        """Store and return the (carry, digit) of digits[i] + digits[j] + c,
+        with c in {0, 1}."""
+        ground, digits, index, b = self.ground, self.digits, self.index, self.base_value
+        key = (c * b + i) * b + j
+        if c and i == b - 1:
+            r = (1, j)  # (b-1) + 1 overflows the digit range: the total is b + j
+        else:
             if c:
-                if i == b - 1:
-                    return 1, j  # (b-1) + 1 overflows the digit range: total is b + j
                 i = index[ground.plus(digits[i], ground.one)]
             s = index.get(ground.plus(digits[i], digits[j]))
-            return (1, i + j - b) if s is None else (0, s)
+            r = (1, i + j - b) if s is None else (0, s)
+        self._adds[key] = r
+        return r
 
-        @functools.cache
-        def mul2(i, j):
-            """(high, low) digits of digits[i] * digits[j]."""
-            if ground.times(digits[i], digits[j]) is None:
-                raise DomainError("digit product undefined; base exceeds the square bound")
-            return divmod(i * j, b)
-
-        self._add3 = add3
-        self._mul2 = mul2
-        self.zero = DigitString(self, (0,) * k)
-        self.one = DigitString(self, (0,) * (k - 1) + (1,))
-        self.largest = DigitString(self, (b - 1,) * k)
+    def _fill_mul(self, i, j):
+        """Store and return the (high, low) digits of digits[i] * digits[j]."""
+        if self.ground.times(self.digits[i], self.digits[j]) is None:
+            raise DomainError("digit product undefined; base exceeds the square bound")
+        b = self.base_value
+        r = self._muls[i * b + j] = divmod(i * j, b)
+        return r
 
     def __iter__(self):
         for idx in itertools.product(range(self.base_value), repeat=self.width):
@@ -136,30 +170,44 @@ class InterpretedModel(PartialStructure):
         self._require(a, b)
         return a.idx < b.idx  # lexical comparison, most significant first
 
+    # The operations below read the tables inline and fill an entry only on
+    # a miss: a function call per read would cost a third to a half of a
+    # warm product.  An add key with carry c into digits i and j
+    # is (c*b + i)*b + j, so with no carry it is i*b + j and with a carry
+    # into j = 0 it is (b + i)*b.
+
     def _plus(self, a, b):
+        adds, bv = self._adds, self.base_value
         s, t = a.idx, b.idx
         out = [0] * self.width
         c = 0
         for i in range(self.width - 1, -1, -1):
-            c, out[i] = self._add3(s[i], t[i], c)
+            si, ti = s[i], t[i]
+            r = adds.get((c * bv + si) * bv + ti)
+            if r is None:
+                r = self._fill_add(si, ti, c)
+            c, out[i] = r
         # A carry out of the leading column: the sum is above the top.
         return None if c else DigitString(self, tuple(out))
 
     def succ(self, a):
         self._require(a)
+        adds, bv = self._adds, self.base_value
         out = list(a.idx)
         c = 1
         i = self.width - 1
         while c and i >= 0:
-            c, out[i] = self._add3(out[i], 0, c)
+            d = out[i]
+            r = adds.get((bv + d) * bv)
+            if r is None:
+                r = self._fill_add(d, 0, 1)
+            c, out[i] = r
             i -= 1
         # A carry out of the leading column: a was the all-(b-1) string.
         return None if c else DigitString(self, tuple(out))
 
     def _times(self, a, b):
-        # Local names: reading the tables off self in these loops costs
-        # about 8% of a product.
-        add3, mul2, k = self._add3, self._mul2, self.width
+        adds, muls, bv, k = self._adds, self._muls, self.base_value, self.width
         s, t = a.idx, b.idx
         res = [0] * (2 * k)
         for j in range(k - 1, -1, -1):
@@ -175,21 +223,34 @@ class InterpretedModel(PartialStructure):
                     row[i + 1] = carry
                     carry = 0
                     continue
-                hi, lo = mul2(si, tj)
-                c1, row[i + 1] = add3(lo, carry, 0)
+                r = muls.get(si * bv + tj)
+                if r is None:
+                    r = self._fill_mul(si, tj)
+                hi, lo = r
+                r = adds.get(lo * bv + carry)
+                if r is None:
+                    r = self._fill_add(lo, carry, 0)
+                c1, row[i + 1] = r
                 carry = hi + c1
             row[0] = carry
             # Shifted addition of the row into the double-width result,
             # whose lowest column for this row is k + j.
             pos = k + j
             c = 0
-            for r in range(k, -1, -1):
-                rr = row[r]
+            for rr in reversed(row):
                 if rr or c:
-                    c, res[pos] = add3(res[pos], rr, c)
+                    d = res[pos]
+                    r = adds.get((c * bv + d) * bv + rr)
+                    if r is None:
+                        r = self._fill_add(d, rr, c)
+                    c, res[pos] = r
                 pos -= 1
             while c:
-                c, res[pos] = add3(res[pos], 0, c)
+                d = res[pos]
+                r = adds.get((bv + d) * bv)
+                if r is None:
+                    r = self._fill_add(d, 0, 1)
+                c, res[pos] = r
                 pos -= 1
         # The true product needs more than k digits: it is above the top.
         return None if any(res[:k]) else DigitString(self, tuple(res[k:]))
@@ -212,11 +273,10 @@ class InterpretedModel(PartialStructure):
             raise DomainError(f"value {value!r} is not an integer")
         if not 0 <= value < b**k:
             raise DomainError(f"value {value} outside the width-{k} base-{b} range")
-        idx = []
-        for _ in range(k):
-            value, r = divmod(value, b)
-            idx.append(r)
-        return DigitString(self, tuple(reversed(idx)))
+        idx = [0] * k
+        for i in range(k - 1, -1, -1):
+            value, idx[i] = divmod(value, b)
+        return DigitString(self, tuple(idx))
 
     def __repr__(self):
         return f"InterpretedModel(base={self.base_value}, width={self.width})"
@@ -225,6 +285,9 @@ class InterpretedModel(PartialStructure):
 # --- model construction ---
 
 def minimal_admissible_width(base_value, top_value):
+    """The least width k, at least 2, with base_value**k - 1 >= top_value**2."""
+    if base_value < 2:
+        raise AdmissibilityError("digit base must be at least 2")
     k = 2
     while base_value**k - 1 < top_value * top_value:
         k += 1
@@ -241,7 +304,7 @@ def build_plus_model(m, width=5, base=None):
         base = largest_square_base(m)
     bv = m.valuation(base)
     top = m.valuation(m.order_max())
-    if bv < 2:  # minimal_admissible_width never returns for such a base
+    if bv < 2:  # minimal_admissible_width refuses it too, without naming the cause
         raise AdmissibilityError(f"largest square base {bv} is below 2; the model is too short")
     k_min = minimal_admissible_width(bv, top)
     if width < k_min:

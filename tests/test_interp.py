@@ -1,9 +1,16 @@
 """The digit-string lifting: arithmetic, the initial-segment embedding, towers."""
+import gc
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
+import finarith
 from finarith.core import make_truncation
 from finarith.corpus import load_packaged_formulas
 from finarith.errors import AdmissibilityError, DomainError, EvalError
@@ -130,6 +137,25 @@ class TestBuildPlusModel:
         assert exc.value.minimal_width == 7
         assert minimal_admissible_width(2, 8) == 7
 
+    def test_minimal_width_refuses_a_base_below_two(self):
+        # No width reaches top**2 in base 1, so an unguarded search never
+        # ends: run it where a hang fails the test instead of the suite.
+        script = (
+            "from finarith.errors import AdmissibilityError\n"
+            "from finarith.interp import minimal_admissible_width\n"
+            "for base in (1, 0):\n"
+            "    try:\n"
+            "        minimal_admissible_width(base, 3)\n"
+            "    except AdmissibilityError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(finarith.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=30, check=True,
+        ).stdout
+        assert out == "digit base must be at least 2\n" * 2
+
     @pytest.mark.parametrize("base, width, message", [
         (1, 4, "digit base must be at least 2"),
         (3, 1, "digit width must be at least 2"),
@@ -138,6 +164,15 @@ class TestBuildPlusModel:
     def test_direct_construction_refusals(self, base, width, message):
         with pytest.raises(AdmissibilityError, match=message):
             InterpretedModel(make_truncation(9), base, width)
+
+    def test_base_past_the_square_bound_fails_at_its_first_digit_product(self):
+        # 5 * 5 is not in {0, ..., 9}.  Construction asks the ground model
+        # nothing beyond the roster walk, so the model builds, and sums work.
+        mp = InterpretedModel(make_truncation(9), 5, 3)
+        four = mp.element(4)
+        assert mp.valuation(mp.plus(four, four)) == 8
+        with pytest.raises(DomainError, match="digit product undefined"):
+            mp.times(four, four)
 
     def test_width_nine_succeeds_for_eight(self):
         mp = build_plus_model(make_truncation(8), width=7)
@@ -276,6 +311,42 @@ class TestTower:
         with pytest.raises(EvalError):
             limit_eval(tower, "minus", 3, 2)
 
+    def test_tower_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            tower = build_tower(make_truncation(12), 3)
+            top = tower.stages[3]
+            x, y = top.element(123456), top.element(654)
+            assert top.valuation(top.plus(x, y)) == 124110
+            assert top.valuation(top.times(x, y)) == 80740224
+            assert limit_eval(tower, "times", 12, 12).value == 144
+            refs = [weakref.ref(stage) for stage in tower.stages]
+            del tower, top, x, y
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            gc.enable()
+
+
+class TestLiftedGround:
+    """Digit arithmetic on a stage whose ground is itself a lift."""
+
+    def test_operations_match_big_integers(self):
+        mp = build_tower(make_truncation(12), 3).stages[3]
+        assert (mp.base_value, mp.width) == (871, 5)
+        size = mp.size()
+        rng = random.Random(16)
+        for _ in range(300):
+            op = rng.choice(("plus", "times", "succ", "less"))
+            x, y = _spread_value(rng, size), _spread_value(rng, size)
+            ex, ey = mp.element(x), mp.element(y)
+            if op == "less":
+                assert mp.less(ex, ey) == (x < y), (x, y)
+                continue
+            r = mp.succ(ex) if op == "succ" else getattr(mp, op)(ex, ey)
+            want = {"plus": x + y, "times": x * y, "succ": x + 1}[op]
+            assert (r is None) == (want >= size), (op, x, y)
+            assert r is None or mp.valuation(r) == want, (op, x, y)
+
 
 class TestBoundedInduction:
     def test_packaged_corpus_passes(self):
@@ -325,21 +396,23 @@ class TestPurity:
         assert instr.requests == []
 
 
-def _ground_requests(n, ops=300, seed=5):
-    """Every ground request made while lifting make_truncation(n) and then
-    running a seeded batch of plus, times and succ on the lift."""
-    ground = InstrumentedStructure(make_truncation(n))
+def _spread_value(rng, size):
+    """A value below size whose magnitude is spread over every digit count,
+    not only the top one."""
+    return rng.randrange(max(1, size >> rng.randrange(size.bit_length())))
+
+
+def _ground_requests(m, ops=300, seed=5):
+    """Every ground request made while lifting m and then running a seeded
+    batch of plus, times and succ on the lift."""
+    ground = InstrumentedStructure(m)
     mp = build_plus_model(ground)
     size = mp.size()
     rng = random.Random(seed)
 
-    def draw():
-        # Magnitudes spread over every digit count, not only the top one.
-        return mp.element(rng.randrange(max(1, size >> rng.randrange(size.bit_length()))))
-
     for _ in range(ops):
         op = rng.choice(("plus", "times", "succ"))
-        x, y = draw(), draw()
+        x, y = mp.element(_spread_value(rng, size)), mp.element(_spread_value(rng, size))
         if op == "succ":
             mp.succ(x)
         else:
@@ -359,6 +432,14 @@ class TestGroundRequestSequence:
         (400, 984, "4e439ebb381b5f11"),
     ])
     def test_recorded_sequence(self, n, count, digest):
-        requests = _ground_requests(n)
+        requests = _ground_requests(make_truncation(n))
         assert len(requests) == count
         assert hashlib.sha256(repr(requests).encode()).hexdigest()[:16] == digest
+
+    def test_recorded_sequence_over_a_lifted_ground(self):
+        # The ground is itself a lift (b = 15, k = 5), so every table entry
+        # of the new stage (b = 871) is filled by digit arithmetic one
+        # stage down.
+        requests = _ground_requests(build_tower(make_truncation(12), 2).stages[2], ops=100)
+        assert len(requests) == 2017
+        assert hashlib.sha256(repr(requests).encode()).hexdigest()[:16] == "309de6f926191008"
