@@ -50,21 +50,26 @@ class PartialStructure:
         raise NotImplementedError
 
     def _require(self, *xs):
+        """Raise DomainError naming the first of xs outside the domain.
+        Callers test membership inline and call this only to raise."""
         for x in xs:
             if x not in self:
                 raise DomainError(f"{x!r} is not in the domain")
 
     def plus(self, a, b):
-        self._require(a, b)
+        if a not in self or b not in self:
+            self._require(a, b)
         return self._plus(a, b)
 
     def times(self, a, b):
-        self._require(a, b)
+        if a not in self or b not in self:
+            self._require(a, b)
         return self._times(a, b)
 
     def succ(self, a):
         """n + 1, undefined when 1 is absent or the sum leaves the domain."""
-        self._require(a)
+        if a not in self:
+            self._require(a)
         if self.one is None:
             return None
         return self._plus(a, self.one)
@@ -138,7 +143,8 @@ class SubsetWorld(PartialStructure):
         return x
 
     def element(self, value):
-        self._require(value)
+        if value not in self:
+            self._require(value)
         return value
 
     def __repr__(self):

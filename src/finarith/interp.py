@@ -167,7 +167,8 @@ class InterpretedModel(PartialStructure):
         return self.base_value ** self.width
 
     def less(self, a, b):
-        self._require(a, b)
+        if a not in self or b not in self:
+            self._require(a, b)
         return a.idx < b.idx  # lexical comparison, most significant first
 
     # The operations below read the tables inline and fill an entry only on
@@ -191,7 +192,8 @@ class InterpretedModel(PartialStructure):
         return None if c else DigitString(self, tuple(out))
 
     def succ(self, a):
-        self._require(a)
+        if a not in self:
+            self._require(a)
         adds, bv = self._adds, self.base_value
         out = list(a.idx)
         c = 1
@@ -260,7 +262,8 @@ class InterpretedModel(PartialStructure):
         return itertools.islice(self, self.valuation(x))
 
     def valuation(self, x):
-        self._require(x)
+        if x not in self:
+            self._require(x)
         b = self.base_value
         v = 0
         for i in x.idx:

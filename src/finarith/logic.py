@@ -9,24 +9,32 @@ using the negative convention: an atom with an undefined term is false,
 with Def(.) as the explicit definedness atom.
 
 Every term and formula class is a frozen, slotted dataclass built on _Node,
-which keeps a node's structural hash and free variables once computed.
+which keeps a node's structural hash, free variables and compiled closure
+once computed.
 
 The structural helpers, here and in ``modal`` and ``interp``, share one
 traversal: _children lists a node's subterms and subformulas, _rebuild
 copies a node with a function applied to them, and _nodes walks a tree.
-Only the evaluator has a case per node kind.  The parser and the printer
-have a case per kind of syntax instead, and read the symbols, precedence
-levels and associativity of the language from one set of tables, under
-"Concrete syntax" below.
+The parser and the printer have a case per kind of syntax, and read the
+symbols, precedence levels and associativity of the language from one set
+of tables, under "Concrete syntax" below.
 
-_decide is the one binder scan: it decides E/A over a quantifier's range
-and hands dia/box to the modal callback, reporting what decided each; the
-``fa eval --trace`` chain reads the deciding elements from it.
+The evaluator has a builder per node class instead.  A node compiles once,
+on its first evaluation, into a closure kept on the node, which calls its
+children's closures directly (Feeley & Lapalme, *Using closures for code
+generation*, Computer Languages 12(1), 1987), so no evaluation dispatches
+on node classes.  eval_term, eval_formula and _eval call a node's closure.
+_decide is the one binder scan, and compiled quantifiers run its loop: it
+decides E/A over a quantifier's range and reports the first element that
+decided it, which the ``fa eval --trace`` chain reads.  A compiled dia/box
+hands its body to the modal callback, which reports the deciding world
+the same way.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import EvalError, ParseError, WrongEvaluatorError
 
@@ -36,16 +44,17 @@ from .errors import EvalError, ParseError, WrongEvaluatorError
 class _Node:
     """The base of every term and formula class.
 
-    A node computes its structural hash on first use and keeps it, so a
-    modal label key holding a formula hashes in O(1) after the formula's
-    first hash.  It also keeps its free variables once free_variables has found
-    them.  Neither cache travels through pickle, copy or
+    A node keeps three caches, each filled on first use: its structural
+    hash, so a modal label key holding a formula hashes in O(1) after the
+    formula's first hash; its free variables, once free_variables has
+    found them; and its compiled closure, once it has been evaluated (see
+    "Evaluation" below).  No cache travels through pickle, copy or
     dataclasses.replace: __reduce__ rebuilds a node from its fields, so a
     node loaded in another process, where str hashes differ, hashes
-    afresh there.
+    afresh there, and a copy compiles afresh on its first evaluation.
     """
 
-    __slots__ = ("_hash", "_free")
+    __slots__ = ("_hash", "_free", "_code")
 
     def __hash__(self):
         try:
@@ -578,40 +587,198 @@ def _print_named(node):
 
 # --- Evaluation ---
 
+# A term compiles into fn(m, assignment), which returns its value in m or
+# None when it is undefined; a formula into fn(m, assignment, modal), which
+# returns its truth.  _COMPILERS holds one builder per node class, called
+# with the node's fields, each term or formula field already compiled.  A
+# closure captures those and nothing else: no node it is part of, so an
+# evaluated tree holds no reference cycle, and no structure or value, so a
+# tree's code serves every structure.  A dia/box body is the one field
+# passed as a node: the modal callback evaluates it at other worlds, and
+# labels it by the node.
+
 _MISSING = object()
+
+
+def _code(node):
+    """The closure of a term or formula node, compiled on its first
+    evaluation and kept in its _code slot."""
+    try:
+        return node._code
+    except AttributeError:
+        pass
+    build = _COMPILERS.get(type(node))
+    if build is None:
+        raise TypeError(f"not a term or formula: {node!r}")
+    fields = list(map(node.__getattribute__, node.__match_args__))
+    if type(node) not in _MODALS:
+        for i, x in enumerate(fields):
+            if x is not None and type(x) is not str:
+                fields[i] = _code(x)
+    code = build(*fields)
+    object.__setattr__(node, "_code", code)
+    return code
+
+
+def _var(name):
+    def var(m, assignment):
+        try:
+            return assignment[name]
+        except KeyError:
+            raise EvalError(f"unassigned variable {name!r}") from None
+    return var
+
+
+def _zero(m, assignment):
+    return m.zero
+
+
+def _one(m, assignment):
+    return m.one
+
+
+def _largest(m, assignment):
+    return m.largest  # None unless the structure is an FA model
+
+
+def _succ(arg):
+    def succ(m, assignment):
+        a = arg(m, assignment)
+        return None if a is None else m.succ(a)
+    return succ
+
+
+def _sum(left, right):
+    def sum_(m, assignment):
+        a = left(m, assignment)
+        if a is None:
+            return None
+        b = right(m, assignment)
+        return None if b is None else m.plus(a, b)
+    return sum_
+
+
+def _prod(left, right):
+    def prod(m, assignment):
+        a = left(m, assignment)
+        if a is None:
+            return None
+        b = right(m, assignment)
+        return None if b is None else m.times(a, b)
+    return prod
+
+
+def _eq(left, right):
+    def eq(m, assignment, modal):
+        a = left(m, assignment)
+        if a is None:
+            return False
+        b = right(m, assignment)
+        return b is not None and a == b
+    return eq
+
+
+def _lt(left, right):
+    def lt(m, assignment, modal):
+        a = left(m, assignment)
+        if a is None:
+            return False
+        b = right(m, assignment)
+        return b is not None and m.less(a, b)
+    return lt
+
+
+def _defined(arg):
+    def defined(m, assignment, modal):
+        return arg(m, assignment) is not None
+    return defined
+
+
+def _graph(op, ta, tb, tc):
+    """Plus(a, b, c) or Times(a, b, c), whose graph is the structure's
+    method named op."""
+    def graph(m, assignment, modal):
+        a = ta(m, assignment)
+        b = tb(m, assignment)
+        c = tc(m, assignment)
+        return a is not None and b is not None and c is not None and getattr(m, op)(a, b) == c
+    return graph
+
+
+def _not(body):
+    def not_(m, assignment, modal):
+        return not body(m, assignment, modal)
+    return not_
+
+
+def _and(left, right):
+    def and_(m, assignment, modal):
+        return left(m, assignment, modal) and right(m, assignment, modal)
+    return and_
+
+
+def _or(left, right):
+    def or_(m, assignment, modal):
+        return left(m, assignment, modal) or right(m, assignment, modal)
+    return or_
+
+
+def _implies(left, right):
+    def implies(m, assignment, modal):
+        return (not left(m, assignment, modal)) or right(m, assignment, modal)
+    return implies
+
+
+def _quantifier(want, v, bound, body):
+    """E (want True) or A (want False), decided by _scan."""
+    def quantifier(m, assignment, modal):
+        return _scan(m, v, bound, body, want, assignment, modal)[0]
+    return quantifier
+
+
+def _modal_op(want, body):
+    """dia (want True) or box (want False) of the node body, decided by
+    the modal callback."""
+    def modal_op(m, assignment, modal):
+        if modal is None:
+            raise WrongEvaluatorError(
+                "modal operator in first-order evaluation; use finarith.modal.eval_modal"
+            )
+        return modal(body, want, assignment)[0]
+    return modal_op
+
+
+_COMPILERS = {
+    Var: _var,
+    Const0: lambda: _zero,
+    Const1: lambda: _one,
+    ConstN: lambda: _largest,
+    Succ: _succ,
+    Sum: _sum,
+    Prod: _prod,
+    Eq: _eq,
+    Lt: _lt,
+    Defined: _defined,
+    PlusAtom: partial(_graph, "plus"),
+    TimesAtom: partial(_graph, "times"),
+    Not: _not,
+    And: _and,
+    Or: _or,
+    Implies: _implies,
+    Forall: partial(_quantifier, False),
+    Exists: partial(_quantifier, True),
+    Possibly: partial(_modal_op, True),
+    Necessarily: partial(_modal_op, False),
+}
 
 
 def eval_term(m, t, assignment):
     """Strict partial evaluation: defined iff every subterm is defined and
     the structure's graph provides a value."""
-    match t:
-        case Var(name):
-            val = assignment.get(name, _MISSING)
-            if val is _MISSING:
-                raise EvalError(f"unassigned variable {name!r}")
-            return val
-        case Const0():
-            return m.zero
-        case Const1():
-            return m.one
-        case ConstN():
-            return m.largest  # None unless the structure is an FA model
-        case Succ(arg):
-            v = eval_term(m, arg, assignment)
-            return None if v is None else m.succ(v)
-        case Sum(l, r):
-            a = eval_term(m, l, assignment)
-            if a is None:
-                return None
-            b = eval_term(m, r, assignment)
-            return None if b is None else m.plus(a, b)
-        case Prod(l, r):
-            a = eval_term(m, l, assignment)
-            if a is None:
-                return None
-            b = eval_term(m, r, assignment)
-            return None if b is None else m.times(a, b)
-    raise TypeError(f"not a term: {t!r}")
+    try:
+        return _code(t)(m, assignment)
+    except RecursionError as exc:
+        raise EvalError("term is nested too deeply") from exc
 
 
 def eval_formula(m, f, assignment=None):
@@ -629,70 +796,42 @@ def eval_formula(m, f, assignment=None):
 
 
 def _eval(m, f, assignment, modal):
-    """The one recursion over atoms, connectives and binders in m.
+    """The truth of f in m under assignment, by f's compiled closure.
 
-    ``modal(f, assignment)`` decides a dia/box node f and returns (truth,
-    deciding world); Kripke evaluation passes one bound to the current
-    world.  With modal None, as in eval_formula, modal nodes raise
-    WrongEvaluatorError.
+    ``modal(body, want, assignment)`` decides a dia (want True) or box
+    (want False) from its body and returns (truth, deciding world); Kripke
+    evaluation passes one bound to the current world.  With modal None, as
+    in eval_formula, modal nodes raise WrongEvaluatorError.
     """
-    match f:
-        case Eq(l, r):
-            a = eval_term(m, l, assignment)
-            if a is None:
-                return False
-            b = eval_term(m, r, assignment)
-            return b is not None and a == b
-        case Lt(l, r):
-            a = eval_term(m, l, assignment)
-            if a is None:
-                return False
-            b = eval_term(m, r, assignment)
-            return b is not None and m.less(a, b)
-        case Defined(arg):
-            return eval_term(m, arg, assignment) is not None
-        case PlusAtom(ta, tb, tc) | TimesAtom(ta, tb, tc):
-            a = eval_term(m, ta, assignment)
-            b = eval_term(m, tb, assignment)
-            c = eval_term(m, tc, assignment)
-            op = m.plus if type(f) is PlusAtom else m.times
-            return a is not None and b is not None and c is not None and op(a, b) == c
-        case Not(body):
-            return not _eval(m, body, assignment, modal)
-        case And(l, r):
-            return _eval(m, l, assignment, modal) and _eval(m, r, assignment, modal)
-        case Or(l, r):
-            return _eval(m, l, assignment, modal) or _eval(m, r, assignment, modal)
-        case Implies(l, r):
-            return (not _eval(m, l, assignment, modal)) or _eval(m, r, assignment, modal)
-        case Forall() | Exists() | Possibly() | Necessarily():
-            return _decide(m, f, assignment, modal)[0]
-    raise TypeError(f"not a formula: {f!r}")
+    return _code(f)(m, assignment, modal)
 
 
 def _decide(m, f, assignment, modal):
-    """(truth of the binder f, what decided it).
+    """(truth of the quantifier f, the element that decided it).
 
-    E and dia hold as soon as one element or accessible world makes the
-    body true; A and box fail as soon as one makes it false.  For a
-    quantifier the decider is the first element of its range, in iteration
-    order, that does so, or None when there is none; assignment is restored
-    on return.  A dia/box node is handed to modal, which reports the
-    deciding world the same way.
+    E holds as soon as one element of its range makes the body true; A
+    fails as soon as one makes it false.  The decider is the first element
+    of the range, in iteration order, that does so, or None when there is
+    none; assignment is restored on return.
     """
-    if isinstance(f, _MODALS):
-        if modal is None:
-            raise WrongEvaluatorError(
-                "modal operator in first-order evaluation; use finarith.modal.eval_modal"
-            )
-        return modal(f, assignment)
-    v, body = f.var, f.body
-    want = type(f) is Exists  # E stops at a true body, A at a false one
+    bound = None if f.bound is None else _code(f.bound)
+    return _scan(m, f.var, bound, _code(f.body), type(f) is Exists, assignment, modal)
+
+
+def _scan(m, v, bound, body, want, assignment, modal):
+    """_decide over a quantifier's compiled parts: the one binder scan,
+    which compiled quantifiers call directly.  want is True for E, which
+    stops at a true body, and False for A, which stops at a false one."""
     saved = assignment.get(v, _MISSING)
     try:
-        for x in _quantifier_range(m, f.bound, assignment):
+        if bound is None:
+            elements = m
+        else:
+            top = bound(m, assignment)
+            elements = () if top is None else m.iter_below(top)  # undefined: a vacuous range
+        for x in elements:
             assignment[v] = x
-            if _eval(m, body, assignment, modal) == want:
+            if body(m, assignment, modal) == want:
                 return want, x
         return not want, None
     finally:
@@ -700,12 +839,3 @@ def _decide(m, f, assignment, modal):
             assignment.pop(v, None)
         else:
             assignment[v] = saved
-
-
-def _quantifier_range(m, bound, assignment):
-    if bound is None:
-        return iter(m)
-    bv = eval_term(m, bound, assignment)
-    if bv is None:
-        return iter(())  # vacuous range: A true, E false
-    return m.iter_below(bv)

@@ -5,10 +5,10 @@ transitive accessibility relation along which domains and operation graphs
 grow.  dia phi holds at a world when phi holds at some accessible world;
 box phi when it holds at all of them.  Quantifiers range over the current
 world; individuals are rigid, so a witness found here still exists in every
-larger world.  Everything but dia/box is evaluated by the first-order
-recursion of ``logic``.  dia/box follow the rule of E/A there, over
-accessible worlds instead of elements: logic._decide hands each dia/box
-node to the system, which returns (truth, deciding world).
+larger world.  Everything but dia/box is evaluated by the compiled
+closures of ``logic``.  dia/box follow the rule of E/A there, over
+accessible worlds instead of elements: a compiled dia/box hands its body
+to the system's modal callback, which returns (truth, deciding world).
 
 The system decides dia/box by global labeling (Clarke, Emerson & Sistla,
 TOPLAS 8(2), 1986): the label of a formula under values of its free
@@ -44,7 +44,7 @@ class PotentialistSystem:
     ``access[i]`` is the frozenset of indices reachable from world i
     (including i itself once validated reflexive).  Worlds are addressed by
     index or by their string id.  Atoms, connectives and quantifiers run
-    through the first-order recursion of ``logic`` at the world being
+    through the compiled closures of ``logic`` at the world being
     evaluated; the system decides only dia/box, by labels (see the module
     docstring).  ``_labels`` maps (formula, values of its free variables in
     sorted order) to its two masks.  A body with free variables is labeled
@@ -147,17 +147,17 @@ class PotentialistSystem:
                 if v not in a:
                     raise EvalError(f"unassigned variable {v!r}")
             if isinstance(f, (Possibly, Necessarily)):
-                return self._modal(i, f, a)
+                return self._modal(i, f.body, type(f) is Possibly, a)
             return _eval(self.worlds[i], f, a, partial(self._modal, i)), None
         except RecursionError as exc:
             raise EvalError("formula is nested too deeply") from exc
 
-    def _modal(self, i, f, assignment):
+    def _modal(self, i, body, want, assignment):
         """The modal callback of _eval at world i, bound by partial: (truth
-        of the dia/box f at i, deciding world), read from the label of f's
-        body."""
-        want = type(f) is Possibly  # dia stops at a true body, box at a false one
-        found = self._fill(f.body, assignment, self._reach[i], want)
+        at i of dia body, for want True, or of box body, for want False,
+        and the deciding world), read from the label of body.  dia stops at
+        a true body, box at a false one."""
+        found = self._fill(body, assignment, self._reach[i], want)
         return (want, found.bit_length() - 1) if found else (not want, None)
 
     def _fill(self, f, assignment, worlds, want=None):

@@ -7,9 +7,10 @@ import time
 import pytest
 
 import finarith.cli as cli
-import finarith.logic as logic
 import finarith.modal as modal
 from finarith.cli import main
+from finarith.core import make_truncation
+from finarith.interp import InstrumentedStructure
 from finarith.logic import parse_formula
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -183,24 +184,24 @@ class TestReportContent:
         assert result["value"] is False
         assert result["trace"][0] == {"kind": "counterexample", "var": "a", "value": 10}
 
-    @pytest.mark.parametrize("trace,calls", [(True, 41), (False, 22)])
-    def test_eval_evaluates_the_top_level_once(self, monkeypatch, trace, calls):
+    @pytest.mark.parametrize("trace,requests", [(True, 20), (False, 10)])
+    def test_eval_evaluates_the_top_level_once(self, monkeypatch, trace, requests):
         # With --trace the value is the first level's verdict: the only
-        # evaluation is the trace's own scans.
-        count = []
-        real = logic._eval
+        # evaluation is the trace's own scans.  Ground requests are counted
+        # at the model; one more evaluation of the sentence would add 10.
+        models = []
 
-        def counting(*args):
-            count.append(args)
-            return real(*args)
+        def instrumented(n):
+            models.append(InstrumentedStructure(make_truncation(n)))
+            return models[-1]
 
-        monkeypatch.setattr(logic, "_eval", counting)
+        monkeypatch.setattr(cli, "make_truncation", instrumented)
         text = "E x < N. A y < N. (x * y = 0 | Def(x + y))"
         code, out = run(["--format", "json", "eval", "--trunc", "10"]
                         + ["--trace"] * trace + [text])
         assert code == 0
         assert json.loads(out)["results"][0]["value"] is True
-        assert len(count) == calls
+        assert [len(m.requests) for m in models] == [requests]
 
     def test_modal_eval_witness_world(self):
         _, out = run(GOLDEN_CASES["modal_eval"])

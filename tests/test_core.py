@@ -87,6 +87,13 @@ class TestTruncation:
         with pytest.raises(DomainError):
             m.times(-1, 2)
 
+    @pytest.mark.parametrize("op", ["plus", "times"])
+    @pytest.mark.parametrize("args,named", [((11, 12), "11"), ((5, 12), "12"), ((-1, 3), "-1")])
+    def test_domain_error_names_the_first_argument_outside(self, op, args, named):
+        with pytest.raises(DomainError) as exc:
+            getattr(make_truncation(10), op)(*args)
+        assert str(exc.value) == f"{named} is not in the domain"
+
     def test_bool_is_not_an_element(self):
         assert True not in make_truncation(10)
 

@@ -71,6 +71,19 @@ class TestDigitOperations:
         with pytest.raises(DomainError):
             lift100.plus(lift100.zero, other.zero)
 
+    @pytest.mark.parametrize("op", ["plus", "times", "less"])
+    def test_domain_error_names_the_first_argument_outside(self, lift100, op):
+        other = build_plus_model(make_truncation(99))
+        for args, named in [((other.one, other.zero), other.one),
+                            ((lift100.one, other.zero), other.zero)]:
+            with pytest.raises(DomainError) as exc:
+                getattr(lift100, op)(*args)
+            assert str(exc.value) == f"{named!r} is not in the domain"
+        for unary in (lift100.succ, lift100.valuation):
+            with pytest.raises(DomainError) as exc:
+                unary(other.one)
+            assert str(exc.value) == "<00001 base 9> is not in the domain"
+
     @pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "1", None])
     def test_element_takes_integers_only(self, lift100, bad):
         # element(1.5) once made float digits that passed membership, and

@@ -1,6 +1,7 @@
 """Parser, printer, and first-order evaluation of the formula language."""
 import copy
 import dataclasses
+import gc
 import inspect
 import json
 import os
@@ -23,7 +24,7 @@ from finarith.logic import (
     free_variables, induction_instance, is_delta0, is_first_order,
     parse_formula, parse_term, print_formula, print_term, substitute,
 )
-from finarith.modal import SCHEMAS, potentialist_translation
+from finarith.modal import SCHEMAS, aristotelian_system, eval_modal, potentialist_translation
 from test_properties import _generated_corpus
 
 
@@ -307,6 +308,13 @@ class TestEvalFormula:
         with pytest.raises(EvalError):
             eval_formula(make_truncation(3), f, {})
 
+    def test_deep_term_nesting_is_an_eval_error(self):
+        t = Const0()
+        for _ in range(5000):
+            t = Succ(t)
+        with pytest.raises(EvalError, match="term is nested too deeply"):
+            eval_term(make_truncation(3), t, {})
+
 
 class TestSubstitutionAndInduction:
     def test_substitute_simple(self):
@@ -478,3 +486,33 @@ class TestNodeHash:
             body: Formula
 
         assert not _uses_cached_hash(Plain)
+
+
+class TestCompiledCode:
+    def test_evaluated_formulas_leave_nothing_for_the_cycle_collector(self):
+        # A closure that reached its own node, say to hand a dia/box node
+        # to the modal callback, would leave every evaluated tree to the
+        # cycle collector.
+        gc.collect()
+        gc.disable()
+        try:
+            f = parse_formula("A a. dia E b. b = a + 1")
+            g = parse_formula("A x < N. E y. x + 1 = y")
+            system = aristotelian_system(4)
+            m = make_truncation(4)
+            assert eval_modal(system, "1", f) and eval_modal(system, "1", g)
+            assert eval_formula(m, g) and not eval_formula(m, f.body.body, {"a": 4})
+            del f, g, system, m
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_compiled_code_does_not_travel(self):
+        f = parse_formula("A x. E y. (x + 1 = y | x = N)")
+        structures = [make_truncation(6), make_subset_world({0, 1, 3})]
+        truths = [eval_formula(m, f) for m in structures]
+        assert truths == [True, False]
+        for g in (copy.copy(f), copy.deepcopy(f), dataclasses.replace(f),
+                  pickle.loads(pickle.dumps(f))):
+            assert not hasattr(g, "_code")
+            assert [eval_formula(m, g) for m in structures] == truths

@@ -1,5 +1,6 @@
-"""Differential checks of eval_modal, the schema checks, the Dot3 search
-and ``fa eval --trace`` against the Kripke oracle in bench/oracles.py.
+"""Differential checks of eval_modal, the schema checks, the Dot3 search,
+``fa eval --trace`` and eval_formula on structures whose elements are not
+the oracle's ints, against the Kripke oracle in bench/oracles.py.
 
 That oracle states the textbook clauses directly, with its own parser and
 arithmetic, no labels and no finarith import (tests/test_imports.py pins
@@ -25,11 +26,12 @@ from test_properties import oracle_frame, oracles, subset_families
 
 from finarith import modal
 from finarith.cli import main
-from finarith.core import SubsetWorld
+from finarith.core import SubsetWorld, make_truncation
+from finarith.interp import InterpretedModel
 from finarith.logic import (
     And, Const0, Const1, ConstN, Defined, Eq, Exists, Forall, Implies, Lt,
     Necessarily, Not, Or, PlusAtom, Possibly, Prod, Succ, Sum, TimesAtom, Var,
-    parse_formula, print_formula,
+    eval_formula, parse_formula, print_formula,
 )
 from finarith.modal import (
     SCHEMAS, aristotelian_system, arbitrary_set_system, check_schema, eval_modal,
@@ -285,3 +287,43 @@ def test_trace_names_the_least_deciding_element_of_each_level(f):
         result = json.loads(out.getvalue())["results"][0]
         assert result["value"] == oracles.fo_holds(g, world), (flags, f)
         assert result["trace"] == oracles.quantifier_trace(g, world), (flags, f)
+
+
+@lru_cache(maxsize=None)
+def first_order(scope, depth):
+    """First-order formulas whose free variables lie in scope, nested at
+    most depth deep; closed when scope is empty."""
+    if depth == 0:
+        return atoms(scope)
+    sub = first_order(scope, depth - 1)
+
+    def quantified(v):
+        return st.builds(
+            lambda q, bound, body: q(v, bound, body),
+            st.sampled_from([Forall, Exists]),
+            st.none() | terms(scope),
+            first_order(scope | {v}, depth - 1),
+        )
+
+    return st.one_of(
+        atoms(scope), st.builds(Not, sub), st.builds(And, sub, sub),
+        st.builds(Or, sub, sub), st.builds(Implies, sub, sub),
+        st.sampled_from(VARS).flatmap(quantified),
+    )
+
+
+# (structure, the oracle's world of the same values): the lift of trunc 9
+# in base 3 and width 3 holds 0..26 as digit strings, which the oracle
+# reads as trunc 26; the subset world has gaps and lacks 0.
+FO_MODELS = [
+    (InterpretedModel(make_truncation(9), 3, 3), oracles.truncation(26)),
+    (SubsetWorld({1, 2, 3, 5, 8, 9}), oracles.subset_world({1, 2, 3, 5, 8, 9})),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(first_order(frozenset(), 3))
+def test_first_order_sentences_match_definitional_semantics_on_other_elements(f):
+    g = as_oracle(f)
+    for m, world in FO_MODELS:
+        assert eval_formula(m, f) == oracles.fo_holds(g, world), (m, f)
