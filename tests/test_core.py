@@ -97,6 +97,20 @@ class TestTruncation:
     def test_bool_is_not_an_element(self):
         assert True not in make_truncation(10)
 
+    @pytest.mark.parametrize("m, x", [
+        (make_truncation(10), 13),
+        (make_truncation(10), 1.5),
+        (make_subset_world({0, 2}), 7),
+    ], ids=["truncation-above-top", "truncation-float", "subset-non-member"])
+    def test_iter_below_rejects_a_bound_outside_the_domain(self, m, x):
+        # Raised by the call itself, before anything is iterated.
+        with pytest.raises(DomainError, match=rf"^{x} is not in the domain$"):
+            m.iter_below(x)
+
+    def test_iter_below_a_member_is_its_initial_segment(self):
+        assert list(make_truncation(10).iter_below(3)) == [0, 1, 2]
+        assert list(make_subset_world({0, 2, 5}).iter_below(5)) == [0, 2]
+
 
 class TestSubsetWorld:
     def test_sparse_world_has_no_defined_sum(self):

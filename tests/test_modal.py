@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from finarith import modal
 from finarith.core import SubsetWorld, make_subset_world, make_truncation
 from finarith.corpus import load_packaged_formulas, load_packaged_pairs
 from finarith.errors import DomainError, EvalError
+from finarith.interp import InstrumentedStructure
 from finarith.logic import (
     Const0, Eq, Necessarily, Possibly, eval_formula, parse_formula, print_formula,
 )
@@ -30,6 +32,21 @@ def ari30():
 @pytest.fixture(scope="module")
 def sub1():
     return arbitrary_set_system(1)
+
+
+class Miscounting(SubsetWorld):
+    """A subset world whose sum at the pair bad_plus and product at the pair
+    bad_times are undefined, although their true values are members."""
+
+    def __init__(self, elements, bad_plus=None, bad_times=None):
+        super().__init__(elements)
+        self.bad_plus, self.bad_times = bad_plus, bad_times
+
+    def _plus(self, a, b):
+        return None if (a, b) == self.bad_plus else super()._plus(a, b)
+
+    def _times(self, a, b):
+        return None if (a, b) == self.bad_times else super()._times(a, b)
 
 
 class TestConstruction:
@@ -73,21 +90,62 @@ class TestConstruction:
 
     def test_ad_hoc_loader_validates_extension(self):
         worlds = [SubsetWorld({0, 3}), SubsetWorld({0, 1})]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^world b does not extend a: lost 3$"):
             load_system(
                 worlds, ["a", "b"], [(0, 0), (1, 1), (0, 1)]
             )  # 3 is lost along 0 -> 1
+
+    @pytest.mark.parametrize("upper, message", [
+        (Miscounting({0, 1, 2}, bad_plus=(0, 1)), "plus graph not preserved from a to b"),
+        (Miscounting({0, 1, 2}, bad_times=(1, 1)), "times graph not preserved from a to b"),
+        # The wrong product at (0, 1) comes before the wrong sum at (1, 0).
+        (Miscounting({0, 1, 2}, bad_plus=(1, 0), bad_times=(0, 1)),
+         "times graph not preserved from a to b"),
+    ], ids=["plus", "times", "times-first"])
+    def test_validation_names_the_first_failure(self, upper, message):
+        worlds = [SubsetWorld({0, 1}), upper]
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            load_system(worlds, ["a", "b"], [(0, 0), (1, 1), (0, 1)])
+
+    def test_validation_checks_every_proper_successor(self):
+        # b, reached first, preserves the graph of a; c, reached second, loses 1 + 0.
+        worlds = [SubsetWorld({0, 1}), SubsetWorld({0, 1, 2}), Miscounting({0, 1, 3}, bad_plus=(1, 0))]
+        pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)]
+        with pytest.raises(ValueError, match=r"^plus graph not preserved from a to c$"):
+            load_system(worlds, ["a", "b", "c"], pairs)
 
     @pytest.mark.parametrize("worlds, pairs, bad", [
         ([{0}, {0, 1}], [(0, 0), (1, 1), (-2, 1)], (-2, 1)),  # was read as (0, 1)
         ([{0}], [(0, 0), (3, 0)], (3, 0)),  # was a bare IndexError
         ([{0}, {0, 1}], [(0, 0), (1, 1), (0, -1)], (0, -1)),
         ([{0}], [(0, 0), (0, 1)], (0, 1)),
+        ([{0}, {0, 1}], [(0, 0), (1, 1), (0, 1.0)], (0, 1.0)),  # was a bare TypeError
+        ([{0}, {0, 1}], [(0, 0), (1, 1), ("0", 1)], ("0", 1)),  # was a bare TypeError
+        ([{0}, {0, 1}], [(0, 0), (1, 1), (0, True)], (0, True)),  # was read as (0, 1)
     ])
     def test_ad_hoc_loader_range_checks_both_ends_of_a_pair(self, worlds, pairs, bad):
         ids = [str(i) for i in range(len(worlds))]
         with pytest.raises(ValueError, match=rf"^access pair \({bad[0]}, {bad[1]}\) out of range"):
             load_system([SubsetWorld(w) for w in worlds], ids, pairs)
+
+    @pytest.mark.parametrize("build, h", [
+        *((aristotelian_system, h) for h in (1, 2, 12)),
+        *((arbitrary_set_system, h) for h in range(4)),
+    ])
+    def test_builders_pass_the_validation_they_skip(self, build, h):
+        s = build(h)
+        assert s.limit is not None  # so convergence is checked too
+        s.validate()
+
+    def test_validation_asks_each_world_for_its_graph_once(self):
+        # World i is asked for its |i|**2 sums and products once; each world
+        # it reaches is asked only for the results defined in i.
+        s = arbitrary_set_system(3)
+        worlds = [InstrumentedStructure(w) for w in s.worlds]
+        pairs = [(i, j) for i, reach in enumerate(s.access) for j in reach]
+        load_system(worlds, s.ids, pairs)
+        kinds = Counter(kind for w in worlds for kind, _, _ in w.requests)
+        assert kinds == {"plus": 120, "times": 152}
 
     def test_resolve(self, ari30):
         assert ari30.resolve("10") == 9
