@@ -145,6 +145,8 @@ class SubsetWorld(PartialStructure):
         return c if c in self._members else None
 
     def valuation(self, x):
+        if x not in self:
+            self._require(x)
         return x
 
     def element(self, value):

@@ -471,13 +471,10 @@ def limit_eval(tower, op, x, y):
     is defined."""
     if op not in ("plus", "times"):
         raise EvalError(f"unknown operation {op!r}")
-    # Stage 0 gets the operands themselves, so its domain check rejects
-    # foreign ones; higher stages get the copies of their values.
     ground = tower.stages[0]
-    xi, yi = x, y
+    vx, vy = ground.valuation(x), ground.valuation(y)  # DomainError for a foreign operand
     for i, stage in enumerate(tower.stages):
-        if i:
-            xi, yi = stage.element(ground.valuation(x)), stage.element(ground.valuation(y))
+        xi, yi = stage.element(vx), stage.element(vy)
         r = stage.plus(xi, yi) if op == "plus" else stage.times(xi, yi)
         if r is not None:
             return LimitValue(value=stage.valuation(r), stage=i, element=r)

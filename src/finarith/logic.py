@@ -2,11 +2,11 @@
 
 Terms over {+, *, 0, 1, N} with S(.) as successor sugar; atoms for equality,
 order, definedness, and the operation graphs; bounded and unbounded
-quantifiers; modal operators dia/box.  Includes a precedence-climbing
-parser for the ASCII grammar, a printer that writes the fewest parentheses
-the grammar needs, and a two-valued evaluator over any PartialStructure
-using the negative convention: an atom with an undefined term is false,
-with Def(.) as the explicit definedness atom.
+quantifiers; modal operators dia/box.  Includes a parser for the ASCII
+grammar, a printer that writes the parentheses the grammar needs, and a
+two-valued evaluator over any PartialStructure using the negative
+convention: an atom with an undefined term is false, with Def(.) as the
+explicit definedness atom.
 
 Every term and formula class is a frozen, slotted dataclass built on _Node,
 which keeps a node's structural hash, free variables and compiled closure
@@ -15,9 +15,13 @@ once computed.
 The structural helpers, here and in ``modal`` and ``interp``, share one
 traversal: _children lists a node's subterms and subformulas, _rebuild
 copies a node with a function applied to them, and _nodes walks a tree.
-The parser and the printer have a case per kind of syntax, and read the
-symbols, precedence levels and associativity of the language from one set
-of tables, under "Concrete syntax" below.
+The parser and the printer read the language's symbols from one set of
+tables and every binary operator's precedence from one table of levels,
+under "Concrete syntax" below.  The parser is one precedence climb over
+that table for terms and formulas alike (Pratt, *Top Down Operator
+Precedence*, POPL 1973): the operators after an operand settle how it is
+used, so no reading is ever retried.  The printer shows every binary node,
+relations included, by one rule.
 
 The evaluator has a builder per node class instead.  A node compiles once,
 on its first evaluation, into a closure kept on the node, which calls its
@@ -332,11 +336,12 @@ def induction_instance(f, var):
 # --- Concrete syntax ---
 
 # The one statement of the ASCII grammar; the parser and the printer both
-# read it.  Binary operators are listed loosest first, and a binary node's
-# precedence level is its index in its list.  Prefixes bind tighter than
-# every binary formula operator, and a quantifier's scope extends as far
-# right as possible.  A named form takes one term argument per field of its
-# class: Plus(a, b, c).
+# read it.  _LEVEL gives every binary operator its precedence level,
+# loosest first: the connectives, then the relations, which join two terms
+# into an atom, then the term operators.  A prefix's operand is a relation
+# or anything tighter, and a quantifier's scope extends as far right as
+# possible.  A named form takes one term argument per field of its class:
+# Plus(a, b, c).
 _CONSTANTS = {"0": Const0, "1": Const1, "N": ConstN}
 _NAMED_TERMS = {"S": Succ}
 _NAMED_ATOMS = {"Def": Defined, "Plus": PlusAtom, "Times": TimesAtom}
@@ -348,14 +353,16 @@ _FORMULA_OPS = {"->": Implies, "|": Or, "&": And}
 _TERM_OPS = {"+": Sum, "*": Prod}
 _RIGHT_NESTED = {Implies}
 
-_PREFIX_LEVEL = len(_FORMULA_OPS)  # one past the tightest binary formula operator
-_LEVEL = {cls: i for ops in (_FORMULA_OPS, _TERM_OPS) for i, cls in enumerate(ops.values())}
+_LEVEL = {Implies: 0, Or: 1, And: 2, Eq: 3, Lt: 3, Sum: 4, Prod: 5}
+_PREFIX_LEVEL = _LEVEL[Eq]
+_TERM_LEVEL = _LEVEL[Sum]  # a context at this level or tighter holds only terms
 _SPELLING = {
     cls: sym
     for table in (_CONSTANTS, _NAMED_TERMS, _NAMED_ATOMS, _RELATIONS,
                   _PREFIXES, _BINDERS, _FORMULA_OPS, _TERM_OPS)
     for sym, cls in table.items()
 }
+_OPERATORS = {_SPELLING[cls]: cls for cls in _LEVEL}
 
 
 # --- Parser ---
@@ -385,15 +392,19 @@ def _tokenize(text):
 
 
 class _Parser:
+    """One precedence climb over _LEVEL reads terms and formulas alike.
+
+    Whether an operand is a term or a formula is settled by what it is and
+    by the operators after it, so no reading is ever retried: a relation or
+    a term operator joins terms, and a connective joins formulas.  In a
+    context at _TERM_LEVEL or tighter, "(" opens a term; anywhere else it
+    opens whatever it holds.
+    """
+
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        # The ParseError of each parenthesized term that failed, by the
-        # index of its "(".  unary tries a term reading of every "(" that
-        # opens a formula; without this, nested parentheses would retry
-        # the same failed readings at every level, in quadratic time.
-        self.failed_terms = {}
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -413,79 +424,71 @@ class _Parser:
             raise ParseError(f"expected {tok!r}, found {self.peek()!r}", self.pos())
         self.i += 1
 
-    def binary(self, ops, level=0):
-        """Precedence climbing over _FORMULA_OPS or _TERM_OPS: an operand,
-        then each operator of ops whose level is at least level, with its
-        right operand, which takes only tighter operators, or equal ones
-        too when the operator is right-nested."""
-        operand = self.unary if ops is _FORMULA_OPS else self.factor
-        left = operand()
-        while (cls := ops.get(self.peek())) is not None and _LEVEL[cls] >= level:
-            self.i += 1
-            left = cls(left, self.binary(ops, _LEVEL[cls] + (cls not in _RIGHT_NESTED)))
-        return left
-
-    def unary(self):
-        tok = self.peek()
-        if tok in _PREFIXES:
-            self.i += 1
-            return _PREFIXES[tok](self.unary())
-        if tok in _BINDERS:
-            self.i += 1
-            name = self.next()
-            if not _is_variable(name):
-                raise ParseError(f"invalid variable name {name!r}", self.pos())
-            bound = None
-            if self.peek() == _BOUND:
-                self.i += 1
-                bound = self.binary(_TERM_OPS)
-            self.expect(".")
-            body = self.binary(_FORMULA_OPS)  # the scope extends as far right as possible
-            return _BINDERS[tok](name, bound, body)
-        if tok in _NAMED_ATOMS:
-            return self.named(_NAMED_ATOMS[tok])
-        if tok == "(":
-            # Ambiguous: a parenthesized term opening an atom, or a
-            # parenthesized formula.  Try the atom reading first.
-            save = self.i
-            try:
-                return self.relation()
-            except ParseError:
-                self.i = save
-            self.i += 1
-            f = self.binary(_FORMULA_OPS)
-            self.expect(")")
-            return f
-        return self.relation()
-
-    def relation(self):
-        left = self.binary(_TERM_OPS)
-        cls = _RELATIONS.get(self.peek())
-        if cls is None:
+    def as_formula(self, node):
+        """node, when it is a formula.  A term where a formula is due lacks
+        the relation that was due at the current token."""
+        if isinstance(node, Term):
             expected = " or ".join(map(repr, _RELATIONS))
             raise ParseError(f"expected {expected}, found {self.peek()!r}", self.pos())
-        self.i += 1
-        return cls(left, self.binary(_TERM_OPS))
+        return node
 
-    def factor(self):
+    def binary(self, level, left=None):
+        """Precedence climbing: left, or else an operand read at level, then
+        each operator whose level is at least level, with its right operand,
+        which takes only tighter operators, or equal ones too when the
+        operator is right-nested.  A relation or term operator after a
+        formula ends the climb, so relations do not chain: x = y = z is no
+        formula."""
+        if left is None:
+            left = self.primary(level)
+        while (cls := _OPERATORS.get(self.peek())) is not None and (own := _LEVEL[cls]) >= level:
+            joins_terms = own >= _PREFIX_LEVEL
+            if not joins_terms:  # a connective: a formula on each side
+                self.as_formula(left)
+            elif not isinstance(left, Term):
+                break
+            self.i += 1
+            right = self.binary(own + (cls not in _RIGHT_NESTED))
+            left = cls(left, right if joins_terms else self.as_formula(right))
+        return left
+
+    def primary(self, level):
+        """The operand at the current token, in a context of level: a
+        constant, variable, named term or parenthesized group, or, in a
+        context looser than _TERM_LEVEL, a prefixed formula, quantifier or
+        named atom."""
         tok = self.peek()
+        if tok == "(":
+            self.i += 1
+            inner = self.binary(_TERM_LEVEL if level >= _TERM_LEVEL else 0)
+            self.expect(")")
+            return inner
+        if level < _TERM_LEVEL:
+            if tok in _PREFIXES:
+                # The operand is climbed after primary returns, so a chain of
+                # prefixes nests one frame per prefix.
+                self.i += 1
+                body = self.binary(_PREFIX_LEVEL, self.primary(_PREFIX_LEVEL))
+                return _PREFIXES[tok](self.as_formula(body))
+            if tok in _BINDERS:
+                self.i += 1
+                name = self.next()
+                if not _is_variable(name):
+                    raise ParseError(f"invalid variable name {name!r}", self.pos())
+                bound = None
+                if self.peek() == _BOUND:
+                    self.i += 1
+                    bound = self.binary(_TERM_LEVEL)
+                self.expect(".")
+                body = self.binary(0)  # the scope extends as far right as possible
+                return _BINDERS[tok](name, bound, self.as_formula(body))
+            if tok in _NAMED_ATOMS:
+                return self.named(_NAMED_ATOMS[tok])
         if tok in _CONSTANTS:
             self.i += 1
             return _CONSTANTS[tok]()
         if tok in _NAMED_TERMS:
             return self.named(_NAMED_TERMS[tok])
-        if tok == "(":
-            start = self.i
-            if start in self.failed_terms:
-                raise self.failed_terms[start].with_traceback(None)
-            self.i += 1
-            try:
-                t = self.binary(_TERM_OPS)
-                self.expect(")")
-            except ParseError as exc:
-                self.failed_terms[start] = exc
-                raise
-            return t
         if tok is not None and _is_variable(tok):
             self.i += 1
             return Var(tok)
@@ -496,30 +499,32 @@ class _Parser:
         per field of cls, comma-separated in parentheses."""
         self.i += 1
         self.expect("(")
-        args = [self.binary(_TERM_OPS)]
+        args = [self.binary(_TERM_LEVEL)]
         for _ in cls.__match_args__[1:]:
             self.expect(",")
-            args.append(self.binary(_TERM_OPS))
+            args.append(self.binary(_TERM_LEVEL))
         self.expect(")")
         return cls(*args)
 
 
 def parse_formula(text):
-    return _parse(text, _FORMULA_OPS)
+    return _parse(text, 0)
 
 
 def parse_term(text):
-    return _parse(text, _TERM_OPS)
+    return _parse(text, _TERM_LEVEL)
 
 
-def _parse(text, ops):
+def _parse(text, level):
+    """All of text, climbed from level: a formula from level 0, a term from
+    _TERM_LEVEL."""
     p = _Parser(text)
     try:
-        out = p.binary(ops)
+        out = p.binary(level)
     except RecursionError as exc:
         raise ParseError("input is nested too deeply", p.pos()) from exc
-    finally:
-        p.failed_terms.clear()  # the errors' tracebacks hold p; leave no cycle
+    if level < _TERM_LEVEL:
+        p.as_formula(out)
     if p.peek() is not None:
         raise ParseError(f"trailing input {p.peek()!r}", p.pos())
     return out
@@ -527,62 +532,51 @@ def _parse(text, ops):
 
 # --- Printer ---
 
-def print_term(t, _level=0):
-    """t as text; _level is the precedence level its context asks for, and
-    t is parenthesized when it binds more loosely."""
-    cls = type(t)
-    if cls is Var:
-        return t.name
+def print_term(t):
+    """t as text, with the parentheses the grammar needs."""
     if not isinstance(t, Term):
         raise TypeError(f"not a term: {t!r}")
-    if cls in _LEVEL:
-        return _print_binary(t, _level, print_term)
-    return _print_named(t)
+    return _show(t, 0)
 
 
-def print_formula(f, _level=0):
-    """f as text; _level is the precedence level its context asks for, and
-    f is parenthesized when it binds more loosely."""
-    cls = type(f)
+def print_formula(f):
+    """f as text, with the parentheses the grammar needs."""
     if not isinstance(f, Formula):
         raise TypeError(f"not a formula: {f!r}")
-    if cls in _LEVEL:
-        return _print_binary(f, _level, print_formula)
+    return _show(f, 0)
+
+
+def _show(node, level):
+    """node as text in a context of precedence level.  A binary node shows
+    each side at the level its operator needs there, and is parenthesized
+    when the context binds tighter than the operator; a quantifier, whose
+    scope extends as far right as possible, is parenthesized in any context
+    but the loosest."""
+    cls = type(node)
+    if cls is Var:
+        return node.name
     sym = _SPELLING[cls]
-    if cls in _RELATIONS.values():
-        return f"{print_term(f.left)} {sym} {print_term(f.right)}"
-    if cls in _PREFIXES.values():
-        body = f.body
-        gap = " " if sym.isalpha() else ""  # dia Def(x), but !Def(x)
-        if not gap and type(body) in _RELATIONS.values():
-            return f"{sym}({print_formula(body)})"  # !(x = y), not !x = y
-        # A quantifier keeps its maximal-right scope, so it takes only the
-        # parentheses the surrounding context would demand anyway.
-        inner = _level if isinstance(body, _QUANTIFIERS) else _PREFIX_LEVEL
-        return f"{sym}{gap}{print_formula(body, inner)}"
+    own = _LEVEL.get(cls)
+    if own is not None:
+        right_nested = cls in _RIGHT_NESTED
+        s = (f"{_show(node.left, own + right_nested)} {sym} "
+             f"{_show(node.right, own + (not right_nested))}")
+        return f"({s})" if level > own else s
     if cls in _QUANTIFIERS:
-        bound = "" if f.bound is None else f" {_BOUND} {print_term(f.bound)}"
-        s = f"{sym} {f.var}{bound}. {print_formula(f.body)}"
-        return f"({s})" if _level > 0 else s
-    return _print_named(f)
-
-
-def _print_binary(node, level, show):
-    """The one rule for binary nodes: each side is printed by show at the
-    level this operator needs there, and the whole is parenthesized when
-    the context binds tighter than the operator."""
-    own = _LEVEL[type(node)]
-    right_nested = type(node) in _RIGHT_NESTED
-    s = (f"{show(node.left, own + right_nested)} {_SPELLING[type(node)]} "
-         f"{show(node.right, own + (not right_nested))}")
-    return f"({s})" if level > own else s
-
-
-def _print_named(node):
-    """A constant, or a named form with its term arguments."""
-    args = _children(node)
-    sym = _SPELLING[type(node)]
-    return f"{sym}({', '.join(map(print_term, args))})" if args else sym
+        bound = "" if node.bound is None else f" {_BOUND} {_show(node.bound, 0)}"
+        s = f"{sym} {node.var}{bound}. {_show(node.body, 0)}"
+        return f"({s})" if level > 0 else s
+    if cls in _PREFIXES.values():
+        # dia x = y and dia Def(x), but !(x = y) and !Def(x): "!" shows its
+        # body as tightly as a term.  A quantifier body takes only the
+        # parentheses the prefix's context demands.
+        gap = " " if sym.isalpha() else ""
+        inner = _PREFIX_LEVEL if gap else _TERM_LEVEL
+        if isinstance(node.body, _QUANTIFIERS):
+            inner = level
+        return f"{sym}{gap}{_show(node.body, inner)}"
+    args = _children(node)  # a constant, or a named form
+    return f"{sym}({', '.join(_show(a, 0) for a in args)})" if args else sym
 
 
 # --- Evaluation ---

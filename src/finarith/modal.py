@@ -85,13 +85,13 @@ class PotentialistSystem:
     def validate(self):
         """Check that the system is a potentialist system; raise ValueError
         at the first failure.  The checks, in the order a failure is
-        reported: every access set lies in range, and accessibility is
-        reflexive and transitive (world by world, in index order); then, for
-        each world i in index order and each j != i it reaches, in set
-        order, world j keeps every element of i (extension) and agrees with
-        every sum and product defined in i, pair by pair in i's order, the
-        sum before the product; then, when a limit is given, convergence
-        (see _validate_convergence).
+        reported: every access set holds int indices in range (a bool is no
+        index), and accessibility is reflexive and transitive (world by
+        world, in index order); then, for each world i in index order and
+        each j != i it reaches, in set order, world j keeps every element of
+        i (extension) and agrees with every sum and product defined in i,
+        pair by pair in i's order, the sum before the product; then, when a
+        limit is given, convergence (see _validate_convergence).
 
         Cost: world i's defined graph, the entries (a, b, a + b, a * b) of
         its pairs with a defined sum or product, is read once, the first
@@ -101,7 +101,7 @@ class PotentialistSystem:
         defined result of i of each world i reaches."""
         n = len(self.worlds)
         for i, s in enumerate(self.access):
-            if any(not 0 <= j < n for j in s):
+            if any(type(j) is not int or not 0 <= j < n for j in s):
                 raise ValueError(f"access set of world {self.ids[i]} out of range")
             if i not in s:
                 raise ValueError(f"accessibility is not reflexive at {self.ids[i]}")

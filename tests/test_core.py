@@ -107,6 +107,16 @@ class TestTruncation:
         with pytest.raises(DomainError, match=rf"^{x} is not in the domain$"):
             m.iter_below(x)
 
+    @pytest.mark.parametrize("m, x", [
+        (make_truncation(10), 99),
+        (make_subset_world({0, 2}), 1.5),
+        (make_truncation(10), True),
+    ], ids=["truncation-above-top", "subset-float", "truncation-bool"])
+    def test_valuation_rejects_a_non_element(self, m, x):
+        # valuation once returned its argument unchecked: 99, 1.5 and True.
+        with pytest.raises(DomainError, match=rf"^{x} is not in the domain$"):
+            m.valuation(x)
+
     def test_iter_below_a_member_is_its_initial_segment(self):
         assert list(make_truncation(10).iter_below(3)) == [0, 1, 2]
         assert list(make_subset_world({0, 2, 5}).iter_below(5)) == [0, 2]

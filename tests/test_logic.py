@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -96,12 +97,20 @@ class TestParser:
         assert 0 < counts[100] and counts[400] < 5 * counts[100]
 
     def test_failed_term_reading_reports_its_own_error(self):
-        # The term reading of "(x + (y & ..." fails at "&" while the
-        # formula reading is tried; the remembered failure is raised again,
-        # with the same message and position, when the formula reading
-        # needs the same parenthesized term.
+        # "(y" opens a term, the right operand of "+"; its reading stops at
+        # "&", where its ")" was due.
         with pytest.raises(ParseError, match=r"expected '\)', found '&' \(at position 8\)"):
             parse_formula("(x + (y & 0 = 0)")
+
+    @pytest.mark.parametrize("text, message", [
+        ("(x + y) * z = ", r"expected a term, found None \(at position 14\)"),
+        ("(x  y) * z = N", r"expected '\)', found 'y' \(at position 4\)"),
+    ])
+    def test_error_is_where_the_one_reading_stops(self, text, message):
+        # Each "(" is read once, so the error is the one of the reading the
+        # input needs, not of a reading tried first and abandoned.
+        with pytest.raises(ParseError, match=rf"^{message}$"):
+            parse_formula(text)
 
     def test_successor_sentence(self):
         f = parse_formula("A a. E b. b = a + 1")
@@ -167,6 +176,18 @@ class TestParser:
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
             parse_formula("x = 0 )")
+
+    @pytest.mark.parametrize("text, at", [("x = y = z", "'=' (at position 6)"),
+                                          ("(x = y) + 1 = z", "'+' (at position 8)")])
+    def test_relations_do_not_chain(self, text, at):
+        with pytest.raises(ParseError, match=rf"^trailing input {re.escape(at)}$"):
+            parse_formula(text)
+
+    def test_prefix_takes_a_whole_relation(self):
+        assert parse_formula("!x + 1 = y") == Not(Eq(Sum(Var("x"), Const1()), Var("y")))
+        assert parse_formula("dia x < y & 0 = 0") == And(
+            Possibly(Lt(Var("x"), Var("y"))), Eq(Const0(), Const0())
+        )
 
     def test_error_position(self):
         with pytest.raises(ParseError) as exc:

@@ -74,6 +74,14 @@ class TestConstruction:
         with pytest.raises(DomainError):
             arbitrary_set_system(20)
 
+    @pytest.mark.parametrize("bad", [1.0, True], ids=["float", "bool"])
+    def test_validation_rejects_a_non_int_index(self, bad):
+        # Built directly, without load_system: 1.0 once escaped as a bare
+        # TypeError, and True was kept as world 1.
+        worlds = [SubsetWorld({0}), SubsetWorld({0, 1})]
+        with pytest.raises(ValueError, match=r"^access set of world a out of range$"):
+            PotentialistSystem(worlds, ["a", "b"], [{0, bad}, {1}])
+
     @pytest.mark.parametrize("build, h", [(arbitrary_set_system, 12), (aristotelian_system, 1031)])
     def test_access_pair_budget_names_the_height(self, build, h):
         # 3**13 and 1031 * 1032 / 2 access pairs exceed the budget of 3**12.
@@ -127,6 +135,14 @@ class TestConstruction:
         ids = [str(i) for i in range(len(worlds))]
         with pytest.raises(ValueError, match=rf"^access pair \({bad[0]}, {bad[1]}\) out of range"):
             load_system([SubsetWorld(w) for w in worlds], ids, pairs)
+
+    @pytest.mark.parametrize("bad", [1.0, True], ids=["float", "bool"])
+    def test_validation_rejects_a_non_int_index(self, bad):
+        # Built directly, without load_system: 1.0 once escaped as a bare
+        # TypeError, and True was kept as world 1.
+        worlds = [SubsetWorld({0}), SubsetWorld({0, 1})]
+        with pytest.raises(ValueError, match=r"^access set of world a out of range$"):
+            PotentialistSystem(worlds, ["a", "b"], [{0, bad}, {1}])
 
     @pytest.mark.parametrize("build, h", [
         *((aristotelian_system, h) for h in (1, 2, 12)),

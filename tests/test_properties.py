@@ -4,6 +4,8 @@ import importlib.util
 import operator
 import pathlib
 import random
+import re
+from importlib.resources import files
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,9 +13,10 @@ from hypothesis import strategies as st
 from finarith.core import SubsetWorld, Truncation, make_truncation
 from finarith.corpus import load_packaged_formulas, load_packaged_pairs
 from finarith.interp import InterpretedModel, build_plus_model
+from finarith.errors import ParseError
 from finarith.logic import (
-    Var, eval_formula, eval_term, free_variables, parse_formula, parse_term,
-    print_formula, substitute,
+    Term, Var, _nodes, eval_formula, eval_term, free_variables, parse_formula, parse_term,
+    print_formula, print_term, substitute,
 )
 from finarith.modal import (
     SCHEMAS, check_schema, check_translation_theorem, frame_properties, load_system,
@@ -144,6 +147,69 @@ def test_parser_round_trip_on_generated_corpus():
         ast = parse_formula(text)
         printed = print_formula(ast)
         assert parse_formula(printed) == ast, text
+
+
+_TOKEN = re.compile(r"\s*(->|[()+*=<!&|.,]|[A-Za-z][A-Za-z0-9_]*|[01])")
+_ALPHABET = "( ) + * = < ! & | -> . , 0 1 N S Def Plus Times A E dia box x y".split()
+
+
+def _packaged_texts():
+    """The formulas of every packaged corpus as written, one text each."""
+    for path in sorted((files("finarith") / "corpora").iterdir(), key=lambda p: p.name):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line:
+                yield from (part.strip() for part in line.split(";"))
+
+
+def _mutations(texts, per=30, seed=19):
+    """Each text, then per seeded one-token mutations of it: a token
+    deleted, inserted or replaced."""
+    rng = random.Random(seed)
+    for text in texts:
+        yield text
+        tokens = _TOKEN.findall(text)
+        for _ in range(per):
+            t = list(tokens)
+            kind = rng.choice(("delete", "insert", "replace"))
+            i = rng.randrange(len(t) + (kind == "insert"))
+            if kind == "delete":
+                del t[i]
+            elif kind == "insert":
+                t.insert(i, rng.choice(_ALPHABET))
+            else:
+                t[i] = rng.choice(_ALPHABET)
+            yield " ".join(t)
+
+
+def test_parser_agrees_with_the_oracle_on_mutated_corpora():
+    # Every input is either rejected with a position or read as the
+    # independent parser of bench/oracles.py reads it, and printed text
+    # reads back the same there.  The check runs one way only: the
+    # oracle's parser is looser (it takes "E !. x = 0" and "Def(x, y)").
+    formulas = list(_generated_corpus()) + list(_packaged_texts())
+    terms = sorted({
+        print_term(t)
+        for text in formulas for t in _nodes(parse_formula(text)) if isinstance(t, Term)
+    })
+    read = {"formulas": 0, "terms": 0}
+    for text in _mutations(formulas + terms):
+        try:
+            f = parse_formula(text)
+        except ParseError as exc:
+            assert exc.position is not None, text
+        else:
+            read["formulas"] += 1
+            assert oracles.parse(text) == oracles.parse(print_formula(f)), text
+        try:
+            t = parse_term(text)
+        except ParseError as exc:
+            assert exc.position is not None, text
+        else:
+            read["terms"] += 1
+            assert oracles.parse(f"({text}) = 0") == oracles.parse(f"({print_term(t)}) = 0"), text
+    # Every seed is read, and some mutations too: the check is not vacuous.
+    assert read["formulas"] > len(formulas) and read["terms"] > len(terms)
 
 
 def test_substitution_lemma():
