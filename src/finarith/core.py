@@ -10,6 +10,12 @@ is ``SubsetWorld.less``, the numeric order, which compares its arguments
 unchecked: the evaluators hand it only elements, and a membership test on
 every comparison cut the throughput of the benchmark's first_order
 workload by about a fifth (CPython 3.11).
+
+``PartialStructure`` is the interface only.  Each concrete structure
+checks its operands inline, in the method the evaluator calls, and then
+calls the raw partial operations ``_plus``/``_times``, the hooks a subclass
+overrides to change the arithmetic: a ground operation is two Python calls,
+not the four that a generic ``x in self`` per operand costs.
 """
 from __future__ import annotations
 
@@ -25,8 +31,14 @@ from .logic import eval_formula, free_variables, is_first_order, print_formula
 class PartialStructure:
     """A finite universe with numeric-style order and partial + and *.
 
-    Subclasses provide ascending iteration, membership, size, the order,
-    and the raw partial operations.  ``zero``/``one`` are None when the
+    This is the interface the evaluators and checks read.  A concrete
+    structure provides ascending iteration, membership, size, the order,
+    the checked operations ``plus``/``times``/``succ`` and ``iter_below``,
+    and the oracle plumbing ``valuation``/``element``.  Its checked
+    operations test membership inline, raise through ``_require`` only when
+    an operand is outside the domain, and then call the raw partial
+    operations ``_plus``/``_times``: those two are the hooks a subclass
+    overrides to change the arithmetic.  ``zero``/``one`` are None when the
     corresponding constant is absent from the domain; ``largest`` is None
     unless the structure is an FA model.
     """
@@ -47,6 +59,23 @@ class PartialStructure:
     def less(self, a, b):
         raise NotImplementedError
 
+    def plus(self, a, b):
+        """a + b, None when undefined; DomainError for a non-element."""
+        raise NotImplementedError
+
+    def times(self, a, b):
+        """a * b, None when undefined; DomainError for a non-element."""
+        raise NotImplementedError
+
+    def succ(self, a):
+        """a + 1, undefined when 1 is absent or the sum leaves the domain."""
+        raise NotImplementedError
+
+    def iter_below(self, x):
+        """Domain elements strictly below x, ascending; DomainError, before
+        anything is yielded, when x is outside the domain."""
+        raise NotImplementedError
+
     def _plus(self, a, b):
         raise NotImplementedError
 
@@ -59,31 +88,6 @@ class PartialStructure:
         for x in xs:
             if x not in self:
                 raise DomainError(f"{x!r} is not in the domain")
-
-    def plus(self, a, b):
-        if a not in self or b not in self:
-            self._require(a, b)
-        return self._plus(a, b)
-
-    def times(self, a, b):
-        if a not in self or b not in self:
-            self._require(a, b)
-        return self._times(a, b)
-
-    def succ(self, a):
-        """n + 1, undefined when 1 is absent or the sum leaves the domain."""
-        if a not in self:
-            self._require(a)
-        if self.one is None:
-            return None
-        return self._plus(a, self.one)
-
-    def iter_below(self, x):
-        """Domain elements strictly below x, ascending; DomainError, before
-        anything is yielded, when x is outside the domain."""
-        if x not in self:
-            self._require(x)
-        return itertools.takewhile(lambda y: self.less(y, x), self)
 
     def order_max(self):
         """The order-largest element (domain must be nonempty)."""
@@ -110,7 +114,12 @@ class SubsetWorld(PartialStructure):
     naturals.  Elements are ints, never bools; the order is the numeric
     one; a sum or product is defined exactly when its true value lies in
     the set; 0 and 1 denote only when present.  ``domain`` lists the set
-    in ascending order, and an element's value is itself."""
+    in ascending order, and an element's value is itself.
+
+    Every checked query tests membership inline as ``type(x) is int and x
+    in self._members``: the type test comes first, since a float in a range
+    is found by a linear scan and True == 1 would pass any membership test.
+    """
 
     def __init__(self, elements):
         elems = set(elements)
@@ -125,8 +134,6 @@ class SubsetWorld(PartialStructure):
         return iter(self.domain)
 
     def __contains__(self, x):
-        # The type test comes first: a float in a range is found by a
-        # linear scan, and True == 1 would pass any membership test.
         return type(x) is int and x in self._members
 
     def size(self):
@@ -136,6 +143,24 @@ class SubsetWorld(PartialStructure):
         # Unchecked, unlike every other query (see the module docstring).
         return a < b
 
+    def plus(self, a, b):
+        members = self._members
+        if not (type(a) is int and a in members and type(b) is int and b in members):
+            self._require(a, b)
+        return self._plus(a, b)
+
+    def times(self, a, b):
+        members = self._members
+        if not (type(a) is int and a in members and type(b) is int and b in members):
+            self._require(a, b)
+        return self._times(a, b)
+
+    def succ(self, a):
+        if not (type(a) is int and a in self._members):
+            self._require(a)
+        one = self.one
+        return None if one is None else self._plus(a, one)
+
     def _plus(self, a, b):
         c = a + b
         return c if c in self._members else None
@@ -144,13 +169,18 @@ class SubsetWorld(PartialStructure):
         c = a * b
         return c if c in self._members else None
 
+    def iter_below(self, x):
+        if not (type(x) is int and x in self._members):
+            self._require(x)
+        return itertools.takewhile(lambda y: self.less(y, x), self)
+
     def valuation(self, x):
-        if x not in self:
+        if not (type(x) is int and x in self._members):
             self._require(x)
         return x
 
     def element(self, value):
-        if value not in self:
+        if not (type(value) is int and value in self._members):
             self._require(value)
         return value
 
@@ -178,7 +208,7 @@ class Truncation(SubsetWorld):
         return self.n + 1  # len() of a range fails above sys.maxsize
 
     def iter_below(self, x):
-        if x not in self:
+        if not (type(x) is int and x in self._members):
             self._require(x)
         return iter(range(x))
 
@@ -266,11 +296,18 @@ def induction_fails(m, phi, v, elements):
     missed, and the failure stands only when that step holds.  A scan of
     every element meets a broken step before its first falsifier, so it
     never bisects.  An undefined 0 or a + 1 is assigned as None, which the
-    evaluator reads as an undefined term, as it reads the instance's."""
+    evaluator reads as an undefined term, as it reads the instance's.
+
+    phi is evaluated at most once per element: a scan of every element
+    meets each a + 1 again as the next element."""
     top = m.largest
+    truth = {}  # element (or None) -> phi there, for this call only
 
     def holds(a):
-        return eval_formula(m, phi, {v: a})
+        t = truth.get(a)
+        if t is None:
+            t = truth[a] = eval_formula(m, phi, {v: a})
+        return t
 
     if not holds(m.zero):
         return False
@@ -300,6 +337,16 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     and by seeded sampling above that.  An exhaustive induction verdict is
     exact.  A sampled failure is genuine; a sampled pass is evidence only,
     wrong when the sample misses every falsifier (see induction_fails).
+
+    Each question is asked once.  Every swept element's successor is
+    computed once, for the successor and arithmetic groups alike, and
+    serves as succ(n + m) whenever n + m is a swept element.  The order
+    group asks less(a, b) and less(b, a) once per unordered pair: both of
+    its pair conditions are symmetric, so an exhaustive sweep visits only
+    the pairs whose first element comes first, and still meets the first
+    failing pair of the full sweep.  Each arithmetic pair asks its two
+    identities' operations once, and induction_fails evaluates each
+    formula at most once per element.
     """
     if budget < 0:
         raise ValueError("budget must be at least 0")
@@ -322,6 +369,7 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
         elements = list(m)
     else:
         elements = sample_elements(m, 256, rng)
+    less, plus, times, succ = m.less, m.plus, m.times, m.succ
 
     groups = {}
 
@@ -332,52 +380,56 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
         fails.append("constant 0 absent")
     else:
         for x in elements:
-            if x != m.zero and not m.less(m.zero, x):
+            if x != m.zero and not less(m.zero, x):
                 fails.append(f"0 is not below {x!r}")
                 break
         for x in elements:
-            if x != top and not m.less(x, top):
+            if x != top and not less(x, top):
                 fails.append(f"top {top!r} is not above {x!r}")
                 break
     if m.largest is None:
         fails.append("constant N absent")
     for x in elements:
-        if m.less(x, x):
+        if less(x, x):
             fails.append(f"order not irreflexive at {x!r}")
             break
-    # Exhaustive sweeps iterate every ordered pair afresh in each group
-    # rather than store size**2 tuples; sampled ones share 2000 drawn pairs.
+    # Exhaustive sweeps iterate pairs afresh in each group rather than store
+    # size**2 tuples; sampled ones share 2000 drawn pairs.
     sampled = None if exhaustive else [(rng.choice(elements), rng.choice(elements)) for _ in range(2000)]
-
-    def pair_pool():
-        return itertools.product(elements, repeat=2) if sampled is None else sampled
-
-    for a, b in pair_pool():
-        if a != b and not m.less(a, b) and not m.less(b, a):
+    # Both pair conditions are symmetric, so the exhaustive sweep skips the
+    # pairs whose first element comes later: each such pair's mirror image
+    # came earlier and failed first.
+    pairs = itertools.combinations_with_replacement(elements, 2) if sampled is None else sampled
+    for a, b in pairs:
+        ab = less(a, b)
+        ba = less(b, a) if a != b else ab
+        if a != b and not ab and not ba:
             fails.append(f"order not linear on {a!r}, {b!r}")
             break
-        if m.less(a, b) and m.less(b, a):
+        if ab and ba:
             fails.append(f"order not antisymmetric on {a!r}, {b!r}")
             break
     groups["order"] = GroupResult("order", not fails, mode, fails)
 
     # Successor: defined for every element below top, undefined at top,
     # and the value is the immediate order-successor.
+    successor = {a: succ(a) for a in elements}
     fails = []
-    if m.succ(top) is not None:
+    s = successor[top] if top in successor else succ(top)
+    if s is not None:
         fails.append("successor of the largest element is defined")
     for a in elements:
         if a == top:
             continue
-        s = m.succ(a)
+        s = successor[a]
         if s is None:
             fails.append(f"successor undefined at {a!r} below the top")
             break
-        if not m.less(a, s):
+        if not less(a, s):
             fails.append(f"successor of {a!r} is not above it")
             break
         for b in elements:
-            if m.less(a, b) and m.less(b, s):
+            if less(a, b) and less(b, s):
                 fails.append(f"{b!r} lies strictly between {a!r} and its successor")
                 break
         if fails:
@@ -392,24 +444,25 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
         fails.append("constants 0 and 1 must denote in an FA model")
     else:
         for a in elements:
-            if m.plus(a, zero) != a:
+            if plus(a, zero) != a:
                 fails.append(f"{a!r} + 0 != {a!r}")
                 break
-            if m.times(a, zero) != zero:
+            if times(a, zero) != zero:
                 fails.append(f"{a!r} * 0 != 0")
                 break
-        for n, mm in pair_pool():
-            sm = m.succ(mm)
+        for n, mm in itertools.product(elements, repeat=2) if sampled is None else sampled:
+            sm = successor[mm]
             if sm is None:
                 continue
-            rhs = m.plus(n, mm)
-            rhs = None if rhs is None else m.succ(rhs)
-            if rhs is not None and m.plus(n, sm) != rhs:
+            rhs = plus(n, mm)
+            if rhs is not None:
+                rhs = successor[rhs] if rhs in successor else succ(rhs)
+            if rhs is not None and plus(n, sm) != rhs:
                 fails.append(f"{n!r} + ({mm!r}+1) != ({n!r}+{mm!r}) + 1")
                 break
-            prod = m.times(n, mm)
-            rhs = None if prod is None else m.plus(prod, n)
-            if rhs is not None and m.times(n, sm) != rhs:
+            prod = times(n, mm)
+            rhs = None if prod is None else plus(prod, n)
+            if rhs is not None and times(n, sm) != rhs:
                 fails.append(f"{n!r} * ({mm!r}+1) != {n!r}*{mm!r} + {n!r}")
                 break
     groups["arithmetic"] = GroupResult("arithmetic", not fails, mode, fails)

@@ -54,13 +54,15 @@ class DigitString:
 
     def __eq__(self, other):
         return (
-            isinstance(other, DigitString)
+            other.__class__ is DigitString
             and other.model is self.model
             and other.idx == self.idx
         )
 
     def __hash__(self):
-        return hash(self.idx) ^ id(self.model)
+        # Strings of two models with the same positions share a hash; __eq__
+        # tells them apart by the identity of their models.
+        return hash(self.idx)
 
     def as_string(self):
         b = self.model.base_value
@@ -71,6 +73,14 @@ class DigitString:
 
     def __repr__(self):
         return f"<{self.as_string()} base {self.model.base_value}>"
+
+
+# The most digits a roster may hold.  The roster walk makes one ground
+# successor per digit and keeps every digit: the tower's stage 4 over
+# Truncation(12) would need about 2.2e7 of them and runs out of memory.
+# A roster of 1e5 digits builds in about 0.1 s over a truncation (CPython
+# 3.11 on an Intel Xeon).
+_ROSTER_BUDGET = 10**5
 
 
 class InterpretedModel(PartialStructure):
@@ -89,11 +99,13 @@ class InterpretedModel(PartialStructure):
     call ``_fill_add``/``_fill_mul`` on a miss, so each entry is filled once,
     by genuine ground operations on digits below b.
 
-    Construction asks the ground model nothing beyond the roster walk, so it
-    does not check that b's square exists there.  A base past the square
-    bound builds, and its first digit product whose ground product is
-    undefined raises DomainError; build_plus_model picks the largest base
-    with a square and never meets this.
+    Construction refuses a base that is not a ground element, or whose value
+    is above _ROSTER_BUDGET, before the walk.  It makes no ground operation
+    beyond the roster walk, so it does not check that b's square exists
+    there.  A base past the square bound builds, and its first digit
+    product whose ground product is undefined raises DomainError;
+    build_plus_model picks the largest base with a square and never meets
+    this.
 
     ``zero``, ``one`` and ``largest`` are built on each read: the model
     holds no reference to itself, so reference counting frees it, and with
@@ -105,6 +117,13 @@ class InterpretedModel(PartialStructure):
             raise DomainError("ground model must interpret 0 and 1")
         if width < 2:
             raise AdmissibilityError("digit width must be at least 2")
+        if base not in ground:
+            raise AdmissibilityError("ground model ends before the base")
+        if (bv := ground.valuation(base)) > _ROSTER_BUDGET:
+            raise AdmissibilityError(
+                f"digit base {bv} is above the roster budget "
+                f"of {_ROSTER_BUDGET} digits"
+            )
         self.ground = ground
         self.base = base
         self.width = width
@@ -161,15 +180,31 @@ class InterpretedModel(PartialStructure):
             yield DigitString(self, idx)
 
     def __contains__(self, x):
-        return isinstance(x, DigitString) and x.model is self
+        return x.__class__ is DigitString and x.model is self
 
     def size(self):
         return self.base_value ** self.width
 
+    # The checked queries test membership inline, as __contains__ does, and
+    # call _require only to raise.
+
     def less(self, a, b):
-        if a not in self or b not in self:
+        if not (a.__class__ is DigitString and a.model is self
+                and b.__class__ is DigitString and b.model is self):
             self._require(a, b)
         return a.idx < b.idx  # lexical comparison, most significant first
+
+    def plus(self, a, b):
+        if not (a.__class__ is DigitString and a.model is self
+                and b.__class__ is DigitString and b.model is self):
+            self._require(a, b)
+        return self._plus(a, b)
+
+    def times(self, a, b):
+        if not (a.__class__ is DigitString and a.model is self
+                and b.__class__ is DigitString and b.model is self):
+            self._require(a, b)
+        return self._times(a, b)
 
     # The operations below read the tables inline and fill an entry only on
     # a miss: a function call per read would cost a third to a half of a
@@ -192,7 +227,7 @@ class InterpretedModel(PartialStructure):
         return None if c else DigitString(self, tuple(out))
 
     def succ(self, a):
-        if a not in self:
+        if not (a.__class__ is DigitString and a.model is self):
             self._require(a)
         adds, bv = self._adds, self.base_value
         out = list(a.idx)
@@ -262,7 +297,7 @@ class InterpretedModel(PartialStructure):
         return itertools.islice(self, self.valuation(x))
 
     def valuation(self, x):
-        if x not in self:
+        if not (x.__class__ is DigitString and x.model is self):
             self._require(x)
         b = self.base_value
         v = 0

@@ -169,6 +169,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    def test_oversized_roster_is_two_at_once(self, capsys):
+        # Stage 4 over Truncation(12) has a base of about 2.2e7; its roster
+        # walk once ran out of memory.
+        start = time.perf_counter()
+        code, _ = run(["tower", "--n", "12", "--stages", "4"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "roster budget" in err, err
+        assert elapsed < 1.0
+
+
 class TestReportContent:
     def test_truncate_at_ten_to_the_thirty(self):
         n = 10**30

@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+import finarith.core as core
 from finarith.core import (
-    SubsetWorld, Truncation, check_fa_axioms, largest_square_base,
+    AxiomReport, GroupResult, SubsetWorld, Truncation, check_fa_axioms,
+    induction_fails, induction_variable, largest_square_base,
     make_subset_world, make_truncation, sample_elements,
 )
 from finarith.corpus import load_packaged_formulas, load_packaged_pairs
 from finarith.errors import DomainError, EvalError
-from finarith.interp import Tower, build_plus_model, build_tower, check_bounded_induction
-from finarith.logic import parse_formula
+from finarith.interp import (
+    InterpretedModel, Tower, build_plus_model, build_tower, check_bounded_induction,
+)
+from finarith.logic import eval_formula, parse_formula, print_formula
 from finarith.modal import (
     SCHEMAS, aristotelian_system, check_schema, check_translation_theorem, fork_system,
 )
@@ -27,6 +31,29 @@ class LoopingSuccessor(Truncation):
     # 1 + 1 = 1: counting up from 0 never leaves {0, 1}.
     def _plus(self, a, b):
         return 1 if (a, b) == (1, 1) else super()._plus(a, b)
+
+
+class TopStepsBack(Truncation):
+    # 1 + 1 = 1, and the top has a successor: N + 1 = 2, below it.
+    def _plus(self, a, b):
+        if (a, b) == (1, 1):
+            return 1
+        if (a, b) == (self.n, 1):
+            return 2
+        return super()._plus(a, b)
+
+
+class StepGap(Truncation):
+    # 1 + 1 is undefined below the top: the instance's x + 1 is an
+    # undefined term there.
+    def _plus(self, a, b):
+        return None if (a, b) == (1, 1) else super()._plus(a, b)
+
+
+class LongStep(SubsetWorld):
+    # 1 + 1 = 100 skips every member between 1 and 100.
+    def _plus(self, a, b):
+        return 100 if (a, b) == (1, 1) else super()._plus(a, b)
 
 
 class CountingTruncation(Truncation):
@@ -242,11 +269,6 @@ class TestAxiomChecks:
         assert not report.passed
 
     def test_successor_gap_names_the_least_element_inside_it(self):
-        class LongStep(SubsetWorld):
-            # 1 + 1 = 100 skips 9 and 33.
-            def _plus(self, a, b):
-                return 100 if (a, b) == (1, 1) else super()._plus(a, b)
-
         report = check_fa_axioms(LongStep([0, 1, 9, 33, 100]))
         assert report.groups["successor"].failures == [
             "9 lies strictly between 1 and its successor"
@@ -365,3 +387,247 @@ class TestSampleElements:
     def test_small_model_is_taken_whole(self, n):
         m = make_truncation(n)
         assert sample_elements(m, 7, random.Random(0)) == list(m)
+
+
+# --- the axiom check against a definitional copy of its sweeps ---
+#
+# _definitional_fa_report is the check as it was first written: each group
+# asks its own questions afresh, pair by pair over the full product, with no
+# successor or truth shared between sweeps.  check_fa_axioms asks each
+# question once; its reports must not differ in any field.
+
+def _definitional_induction_fails(m, phi, v, elements):
+    top = m.largest
+
+    def holds(a):
+        return eval_formula(m, phi, {v: a})
+
+    if not holds(m.zero):
+        return False
+    falsifier = None
+    for a in elements:
+        if not holds(a):
+            falsifier = a
+        elif top is not None and m.less(a, top) and not holds(m.succ(a)):
+            return False
+    if falsifier is None or None in (top, m.zero) or len(elements) == m.size():
+        return falsifier is not None
+    lo, hi = m.valuation(m.zero), m.valuation(falsifier)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(m.element(mid)) else (lo, mid)
+    return holds(m.succ(m.element(lo)))
+
+
+def _definitional_fa_report(m, induction_corpus=(), budget=10**6, seed=0):
+    induction_corpus = list(induction_corpus)
+    induction_vars = [induction_variable(phi) for phi in induction_corpus]
+    rng = random.Random(seed)
+    exhaustive = m.size() ** 2 <= budget
+    mode = "exhaustive" if exhaustive else "sampled"
+    try:
+        top = m.order_max()
+    except DomainError:
+        return AxiomReport(False, {"order": GroupResult("order", False, mode, ["empty domain"])})
+    elements = list(m) if exhaustive else sample_elements(m, 256, rng)
+    groups = {}
+
+    fails = []
+    if m.zero is None:
+        fails.append("constant 0 absent")
+    else:
+        for x in elements:
+            if x != m.zero and not m.less(m.zero, x):
+                fails.append(f"0 is not below {x!r}")
+                break
+        for x in elements:
+            if x != top and not m.less(x, top):
+                fails.append(f"top {top!r} is not above {x!r}")
+                break
+    if m.largest is None:
+        fails.append("constant N absent")
+    for x in elements:
+        if m.less(x, x):
+            fails.append(f"order not irreflexive at {x!r}")
+            break
+    sampled = None if exhaustive else [(rng.choice(elements), rng.choice(elements)) for _ in range(2000)]
+
+    def pair_pool():
+        return itertools.product(elements, repeat=2) if sampled is None else sampled
+
+    for a, b in pair_pool():
+        if a != b and not m.less(a, b) and not m.less(b, a):
+            fails.append(f"order not linear on {a!r}, {b!r}")
+            break
+        if m.less(a, b) and m.less(b, a):
+            fails.append(f"order not antisymmetric on {a!r}, {b!r}")
+            break
+    groups["order"] = GroupResult("order", not fails, mode, fails)
+
+    fails = []
+    if m.succ(top) is not None:
+        fails.append("successor of the largest element is defined")
+    for a in elements:
+        if a == top:
+            continue
+        s = m.succ(a)
+        if s is None:
+            fails.append(f"successor undefined at {a!r} below the top")
+            break
+        if not m.less(a, s):
+            fails.append(f"successor of {a!r} is not above it")
+            break
+        for b in elements:
+            if m.less(a, b) and m.less(b, s):
+                fails.append(f"{b!r} lies strictly between {a!r} and its successor")
+                break
+        if fails:
+            break
+    groups["successor"] = GroupResult("successor", not fails, mode, fails)
+
+    fails = []
+    zero, one = m.zero, m.one
+    if zero is None or one is None:
+        fails.append("constants 0 and 1 must denote in an FA model")
+    else:
+        for a in elements:
+            if m.plus(a, zero) != a:
+                fails.append(f"{a!r} + 0 != {a!r}")
+                break
+            if m.times(a, zero) != zero:
+                fails.append(f"{a!r} * 0 != 0")
+                break
+        for n, mm in pair_pool():
+            sm = m.succ(mm)
+            if sm is None:
+                continue
+            rhs = m.plus(n, mm)
+            rhs = None if rhs is None else m.succ(rhs)
+            if rhs is not None and m.plus(n, sm) != rhs:
+                fails.append(f"{n!r} + ({mm!r}+1) != ({n!r}+{mm!r}) + 1")
+                break
+            prod = m.times(n, mm)
+            rhs = None if prod is None else m.plus(prod, n)
+            if rhs is not None and m.times(n, sm) != rhs:
+                fails.append(f"{n!r} * ({mm!r}+1) != {n!r}*{mm!r} + {n!r}")
+                break
+    groups["arithmetic"] = GroupResult("arithmetic", not fails, mode, fails)
+
+    fails = []
+    if m.largest is not None:
+        for phi, v in zip(induction_corpus, induction_vars):
+            if _definitional_induction_fails(m, phi, v, elements):
+                fails.append(f"induction instance fails for {print_formula(phi)}")
+    groups["induction"] = GroupResult("induction", not fails, mode, fails)
+    return AxiomReport(passed=all(g.passed for g in groups.values()), groups=groups)
+
+
+class WrongTimes(Truncation):
+    # 3 * 4 is one more than it should be, where that is still in range.
+    def _times(self, a, b):
+        c = super()._times(a, b)
+        return c + 1 if (a, b) == (3, 4) and c is not None and c < self.n else c
+
+
+class OddSuccessorSkips(Truncation):
+    # a + 1 is a + 2 at odd a, so succ disagrees with the other sums there.
+    def _plus(self, a, b):
+        return super()._plus(a, 2) if b == 1 and a % 2 else super()._plus(a, b)
+
+
+class BentOrder(Truncation):
+    """A truncation whose order answers the opposite at the given pairs."""
+
+    def __init__(self, n, flips):
+        super().__init__(n)
+        self.flips = frozenset(flips)
+
+    def less(self, a, b):
+        return (a < b) != ((a, b) in self.flips)
+
+
+# x = 0 | x = 1 fails its induction instance where counting up from 0
+# stays in {0, 1}; x < 1 + 1 + 1 + 1 + 1 holds its instance by a broken step.
+EXTRA_INDUCTION = ["x = 0 | x = 1", "x < 1 + 1 + 1 + 1 + 1", "!(x = 1 + 1 + 1)"]
+
+
+def _seeded_subset_worlds(count, seed=7):
+    rng = random.Random(seed)
+    return [
+        SubsetWorld({x for x in range(rng.randint(1, 16)) if rng.random() < 0.7})
+        for _ in range(count)
+    ]
+
+
+DIFFERENTIAL_PANEL = (
+    [(f"trunc{n}", lambda n=n: Truncation(n), {}) for n in range(1, 41)]
+    + [(f"subset{i}", lambda w=w: w, {}) for i, w in enumerate(_seeded_subset_worlds(24))]
+    + [
+        ("long-step", lambda: LongStep([0, 1, 9, 33, 100]), {}),
+        ("long-step-dense", lambda: LongStep(range(101)), {}),
+        ("looping1", lambda: LoopingSuccessor(1), {}),
+        ("looping3", lambda: LoopingSuccessor(3), {}),
+        ("looping20", lambda: LoopingSuccessor(20), {}),
+        ("top-steps-back", lambda: TopStepsBack(5), {}),
+        ("step-gap", lambda: StepGap(6), {}),
+        ("wrong-times", lambda: WrongTimes(20), {}),
+        ("not-linear", lambda: BentOrder(12, [(2, 5), (5, 2)]), {}),
+        ("not-antisymmetric", lambda: BentOrder(12, [(7, 3)]), {}),
+        ("not-irreflexive", lambda: BentOrder(12, [(4, 4)]), {}),
+        ("top-not-largest", lambda: BentOrder(12, [(11, 12)]), {}),
+        ("lift4", lambda: build_plus_model(make_truncation(4)), {}),
+        ("lift9-width3", lambda: InterpretedModel(make_truncation(9), 3, 3), {}),
+        ("sampled-trunc300", lambda: Truncation(300), {"budget": 10**4, "seed": 5}),
+        ("sampled-bent", lambda: BentOrder(300, [(40, 7), (3, 200)]), {"budget": 10**4}),
+        ("sampled-odd-succ", lambda: OddSuccessorSkips(10**4), {"budget": 10**4}),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "make, options", [(make, options) for _, make, options in DIFFERENTIAL_PANEL],
+    ids=[name for name, _, _ in DIFFERENTIAL_PANEL],
+)
+def test_axiom_reports_match_the_definitional_sweeps(make, options, induction_corpus):
+    corpus = list(induction_corpus) + [parse_formula(t) for t in EXTRA_INDUCTION]
+    expected = _definitional_fa_report(make(), corpus, **options)
+    report = check_fa_axioms(make(), corpus, **options)
+    assert list(report.groups) == list(expected.groups)
+    assert report == expected
+
+
+def test_the_differential_panel_sees_every_group_fail():
+    corpus = [parse_formula(t) for t in EXTRA_INDUCTION]
+    failed = {
+        name for case, make, options in DIFFERENTIAL_PANEL
+        for name, g in check_fa_axioms(make(), corpus, **options).groups.items()
+        if g.failures
+    }
+    assert failed == {"order", "successor", "arithmetic", "induction"}
+
+
+# --- what the axiom check asks ---
+
+def test_axiom_check_query_count_on_counting_truncation_30(induction_corpus):
+    # less, _plus and _times calls, the evaluator's included.  The sweeps
+    # that asked every question afresh made 10,916.
+    m = CountingTruncation(30)
+    assert check_fa_axioms(m, induction_corpus).passed
+    assert m.queries == 7013
+
+
+def test_exhaustive_induction_scan_evaluates_once_per_element(monkeypatch, induction_corpus):
+    calls = []
+    evaluate = core.eval_formula
+
+    def counting(m, phi, assignment=None):
+        calls.append(assignment)
+        return evaluate(m, phi, assignment)
+
+    monkeypatch.setattr(core, "eval_formula", counting)
+    m = make_truncation(30)
+    for phi in list(induction_corpus) + [parse_formula(t) for t in EXTRA_INDUCTION]:
+        calls.clear()
+        induction_fails(m, phi, induction_variable(phi), list(m))
+        values = [a for assignment in calls for a in assignment.values()]
+        assert len(values) == len(set(values)) <= m.size(), print_formula(phi)

@@ -10,11 +10,11 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_core import LoopingSuccessor
+from test_core import LoopingSuccessor, StepGap, TopStepsBack
 from test_modal_differential import VARS, atoms, terms
 
 from finarith.core import (
-    Truncation, check_fa_axioms, induction_fails, make_subset_world, make_truncation,
+    check_fa_axioms, induction_fails, make_subset_world, make_truncation,
 )
 from finarith.corpus import load_packaged_formulas
 from finarith.interp import InterpretedModel
@@ -22,23 +22,6 @@ from finarith.logic import (
     And, Exists, Forall, Implies, Not, Or, eval_formula, free_variables,
     induction_instance, parse_formula, print_formula,
 )
-
-
-class TopStepsBack(Truncation):
-    # 1 + 1 = 1, and the top has a successor: N + 1 = 2, below it.
-    def _plus(self, a, b):
-        if (a, b) == (1, 1):
-            return 1
-        if (a, b) == (self.n, 1):
-            return 2
-        return super()._plus(a, b)
-
-
-class StepGap(Truncation):
-    # 1 + 1 is undefined below the top: the instance's x + 1 is an
-    # undefined term there.
-    def _plus(self, a, b):
-        return None if (a, b) == (1, 1) else super()._plus(a, b)
 
 
 STRUCTURES = (

@@ -15,7 +15,7 @@ from finarith.core import make_truncation
 from finarith.corpus import load_packaged_formulas
 from finarith.errors import AdmissibilityError, DomainError, EvalError
 from finarith.interp import (
-    InstrumentedStructure, InterpretedModel, build_plus_model,
+    _ROSTER_BUDGET, InstrumentedStructure, InterpretedModel, build_plus_model,
     build_tower, check_bounded_induction, embed_initial, limit_eval,
     minimal_admissible_width, verify_biinterpretation, verify_induction_lex,
 )
@@ -83,6 +83,18 @@ class TestDigitOperations:
             with pytest.raises(DomainError) as exc:
                 unary(other.one)
             assert str(exc.value) == "<00001 base 9> is not in the domain"
+
+    def test_same_positions_in_two_lifts_are_distinct_keys(self, lift100):
+        # A string hashes by its positions alone; __eq__ tells the models
+        # apart, so strings of two lifts never collapse into one dict key.
+        other = build_plus_model(make_truncation(100))
+        x, y = lift100.element(345), other.element(345)
+        assert x.idx == y.idx and hash(x) == hash(y)
+        assert x != y and y != x
+        assert x == lift100.element(345)
+        keys = {x: "lift100", y: "other"}
+        assert len(keys) == 2
+        assert keys[x] == "lift100" and keys[y] == "other"
 
     @pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "1", None])
     def test_element_takes_integers_only(self, lift100, bad):
@@ -177,6 +189,21 @@ class TestBuildPlusModel:
     def test_direct_construction_refusals(self, base, width, message):
         with pytest.raises(AdmissibilityError, match=message):
             InterpretedModel(make_truncation(9), base, width)
+
+    def test_a_base_above_the_roster_budget_is_refused_before_the_walk(self):
+        ground = InstrumentedStructure(make_truncation(10**12))
+        with pytest.raises(AdmissibilityError, match="above the roster budget"):
+            InterpretedModel(ground, _ROSTER_BUDGET + 1, 2)
+        assert ground.requests == []  # not one successor walked
+
+    def test_a_base_at_the_roster_budget_builds(self):
+        mp = InterpretedModel(make_truncation(_ROSTER_BUDGET), _ROSTER_BUDGET, 2)
+        assert mp.base_value == _ROSTER_BUDGET
+
+    def test_tower_stage_four_over_twelve_is_refused(self):
+        # Its base is about 2.2e7: the roster walk once ran out of memory.
+        with pytest.raises(AdmissibilityError, match="digit base 22389551 "):
+            build_tower(make_truncation(12), 4)
 
     def test_base_past_the_square_bound_fails_at_its_first_digit_product(self):
         # 5 * 5 is not in {0, ..., 9}.  Construction asks the ground model
