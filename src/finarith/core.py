@@ -263,23 +263,27 @@ class AxiomReport:
 
 
 def sample_elements(m, count, rng):
-    """count distinct elements of m, ascending, drawn by value with rng and
-    always including the least and the largest; all of m, in order, when m
-    has at most count elements."""
+    """count distinct elements of m, ascending, drawn by position with rng
+    and always including the least and the largest; all of m, in order,
+    when m has at most count elements."""
     n = m.size()
     if n <= count:
         return list(m)
-    vals = {0, n - 1}
-    while len(vals) < count:
-        vals.add(rng.randrange(n))
-    # Value-based sampling keeps huge lazy domains cheap; the structures with
-    # large domains (truncations, digit models) index elements by value.
-    return [m.element(v) for v in sorted(vals)]
+    positions = {0, n - 1}
+    while len(positions) < count:
+        positions.add(rng.randrange(n))
+    # A truncation's domain is a range, so huge lazy domains index cheaply;
+    # a lifted model lists none, and its element at position v has value v.
+    at = m.domain.__getitem__ if hasattr(m, "domain") else m.element
+    return [at(v) for v in sorted(positions)]
 
 
 def induction_variable(phi):
     """The one free variable of an induction formula phi, or EvalError."""
-    fv = sorted(free_variables(phi))
+    try:
+        fv = sorted(free_variables(phi))
+    except RecursionError as exc:
+        raise EvalError("formula is nested too deeply") from exc
     if len(fv) != 1:
         raise EvalError(f"induction formula must have exactly one free variable, got {fv}")
     return fv[0]

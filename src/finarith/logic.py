@@ -27,12 +27,12 @@ The evaluator has a builder per node class instead.  A node compiles once,
 on its first evaluation, into a closure kept on the node, which calls its
 children's closures directly (Feeley & Lapalme, *Using closures for code
 generation*, Computer Languages 12(1), 1987), so no evaluation dispatches
-on node classes.  eval_term, eval_formula and _eval call a node's closure.
-_decide is the one binder scan, and compiled quantifiers run its loop: it
-decides E/A over a quantifier's range and reports the first element that
-decided it, which the ``fa eval --trace`` chain reads.  A compiled dia/box
-hands its body to the modal callback, which reports the deciding world
-the same way.
+on node classes.  eval_term and eval_formula call a node's closure.  E/A
+and dia/box share one contract: _scan over a quantifier's range, and the
+modal callback over the accessible worlds, each return the first decider,
+an element or a world's index, or None when there is none, and the
+compiled binder reads its truth from that.  _decide pairs the truth with
+the decider for the ``fa eval --trace`` chain.
 """
 from __future__ import annotations
 
@@ -568,11 +568,11 @@ def _show(node, level):
         return f"({s})" if level > 0 else s
     if cls in _PREFIXES.values():
         # dia x = y and dia Def(x), but !(x = y) and !Def(x): "!" shows its
-        # body as tightly as a term.  A quantifier body takes only the
-        # parentheses the prefix's context demands.
+        # body as tightly as a term.  A quantifier or prefix body takes only
+        # the parentheses the prefix's context demands: !!A x. x = 0.
         gap = " " if sym.isalpha() else ""
         inner = _PREFIX_LEVEL if gap else _TERM_LEVEL
-        if isinstance(node.body, _QUANTIFIERS):
+        if isinstance(node.body, (*_QUANTIFIERS, *_PREFIXES.values())):
             inner = level
         return f"{sym}{gap}{_show(node.body, inner)}"
     args = _children(node)  # a constant, or a named form
@@ -583,7 +583,11 @@ def _show(node, level):
 
 # A term compiles into fn(m, assignment), which returns its value in m or
 # None when it is undefined; a formula into fn(m, assignment, modal), which
-# returns its truth.  _COMPILERS holds one builder per node class, called
+# returns its truth.  A dia (want True) or box (want False) calls
+# modal(body, want, assignment), which returns the first accessible world
+# where body's truth is want, by index, or None, as _scan returns the first
+# deciding element; eval_formula passes None, and a dia/box then raises
+# WrongEvaluatorError.  _COMPILERS holds one builder per node class, called
 # with the node's fields, each term or formula field already compiled.  A
 # closure captures those and nothing else: no node it is part of, so an
 # evaluated tree holds no reference cycle, and no structure or value, so a
@@ -726,7 +730,7 @@ def _implies(left, right):
 def _quantifier(want, v, bound, body):
     """E (want True) or A (want False), decided by _scan."""
     def quantifier(m, assignment, modal):
-        return _scan(m, v, bound, body, want, assignment, modal)[0]
+        return (_scan(m, v, bound, body, want, assignment, modal) is not None) == want
     return quantifier
 
 
@@ -738,7 +742,7 @@ def _modal_op(want, body):
             raise WrongEvaluatorError(
                 "modal operator in first-order evaluation; use finarith.modal.eval_modal"
             )
-        return modal(body, want, assignment)[0]
+        return (modal(body, want, assignment) is not None) == want
     return modal_op
 
 
@@ -784,20 +788,9 @@ def eval_formula(m, f, assignment=None):
     vacuous range (A true, E false).  Modal nodes are rejected.
     """
     try:
-        return _eval(m, f, {} if assignment is None else assignment, None)
+        return _code(f)(m, {} if assignment is None else assignment, None)
     except RecursionError as exc:
         raise EvalError("formula is nested too deeply") from exc
-
-
-def _eval(m, f, assignment, modal):
-    """The truth of f in m under assignment, by f's compiled closure.
-
-    ``modal(body, want, assignment)`` decides a dia (want True) or box
-    (want False) from its body and returns (truth, deciding world); Kripke
-    evaluation passes one bound to the current world.  With modal None, as
-    in eval_formula, modal nodes raise WrongEvaluatorError.
-    """
-    return _code(f)(m, assignment, modal)
 
 
 def _decide(m, f, assignment, modal):
@@ -806,16 +799,22 @@ def _decide(m, f, assignment, modal):
     E holds as soon as one element of its range makes the body true; A
     fails as soon as one makes it false.  The decider is the first element
     of the range, in iteration order, that does so, or None when there is
-    none; assignment is restored on return.
-    """
-    bound = None if f.bound is None else _code(f.bound)
-    return _scan(m, f.var, bound, _code(f.body), type(f) is Exists, assignment, modal)
+    none; assignment is restored on return.  Too deep a formula raises
+    EvalError, as in eval_formula."""
+    want = type(f) is Exists
+    try:
+        bound = None if f.bound is None else _code(f.bound)
+        found = _scan(m, f.var, bound, _code(f.body), want, assignment, modal)
+    except RecursionError as exc:
+        raise EvalError("formula is nested too deeply") from exc
+    return (found is not None) == want, found
 
 
 def _scan(m, v, bound, body, want, assignment, modal):
-    """_decide over a quantifier's compiled parts: the one binder scan,
-    which compiled quantifiers call directly.  want is True for E, which
-    stops at a true body, and False for A, which stops at a false one."""
+    """The one binder scan, over a quantifier's compiled parts: the first
+    element of the range whose body's truth is want (True for E, False for
+    A), or None when there is none; no element is None, the evaluator's
+    undefined value."""
     saved = assignment.get(v, _MISSING)
     try:
         if bound is None:
@@ -826,8 +825,8 @@ def _scan(m, v, bound, body, want, assignment, modal):
         for x in elements:
             assignment[v] = x
             if body(m, assignment, modal) == want:
-                return want, x
-        return not want, None
+                return x
+        return None
     finally:
         if saved is _MISSING:
             assignment.pop(v, None)

@@ -8,7 +8,8 @@ world; individuals are rigid, so a witness found here still exists in every
 larger world.  Everything but dia/box is evaluated by the compiled
 closures of ``logic``.  dia/box follow the rule of E/A there, over
 accessible worlds instead of elements: a compiled dia/box hands its body
-to the system's modal callback, which returns (truth, deciding world).
+to the system's modal callback, which returns the deciding world's index,
+or None, as the binder scan returns the deciding element.
 
 The system decides dia/box by global labeling (Clarke, Emerson & Sistla,
 TOPLAS 8(2), 1986): the label of a formula under values of its free
@@ -31,7 +32,7 @@ from .core import SubsetWorld, Truncation
 from .errors import DomainError, EvalError
 from .logic import (
     And, Const0, Const1, Defined, Eq, Exists, Forall, Implies, Lt,
-    Necessarily, Not, Or, Possibly, _eval, _free_vars, _rebuild,
+    Necessarily, Not, Or, Possibly, _code, _free_vars, _rebuild,
     contains_constN, eval_formula, free_variables, is_first_order,
     print_formula,
 )
@@ -51,8 +52,8 @@ class PotentialistSystem:
     only at worlds reachable from the querying world, where the individuals
     assigned to it exist.  _label gives a closed formula's label at every
     world, composed for connectives and dia/box.  Each evaluation is handed
-    a modal callback bound to its own world, so queries may nest: a world's
-    operations may themselves query the system.
+    _fill bound to its own world as the modal callback, so queries may
+    nest: a world's operations may themselves query the system.
     """
 
     def __init__(self, worlds, ids, access, limit=None, validate=True):
@@ -168,25 +169,19 @@ class PotentialistSystem:
                 if v not in a:
                     raise EvalError(f"unassigned variable {v!r}")
             if isinstance(f, (Possibly, Necessarily)):
-                return self._modal(i, f.body, type(f) is Possibly, a)
-            return _eval(self.worlds[i], f, a, partial(self._modal, i)), None
+                found = self._fill(self._reach[i], f.body, type(f) is Possibly, a)
+                return (found is not None) == (type(f) is Possibly), found
+            return _code(f)(self.worlds[i], a, partial(self._fill, self._reach[i])), None
         except RecursionError as exc:
             raise EvalError("formula is nested too deeply") from exc
 
-    def _modal(self, i, body, want, assignment):
-        """The modal callback of _eval at world i, bound by partial: (truth
-        at i of dia body, for want True, or of box body, for want False,
-        and the deciding world), read from the label of body.  dia stops at
-        a true body, box at a false one."""
-        found = self._fill(body, assignment, self._reach[i], want)
-        return (want, found.bit_length() - 1) if found else (not want, None)
-
-    def _fill(self, f, assignment, worlds, want=None):
+    def _fill(self, worlds, f, want, assignment):
         """Evaluate f under assignment at the worlds of the mask worlds that
         its label lacks, in index order, and add them to the label.  With
-        want given, stop at the first world of worlds where f's truth is
-        want, whether labeled before or now, and return its bit; return 0
-        when there is none."""
+        want True (dia) or False (box), stop at the first world of worlds
+        where f's truth is want, whether labeled before or now, and return
+        its index; return None when there is none.  Bound by partial to a
+        world's access mask, this is the modal callback of ``logic``."""
         key = f, tuple(map(assignment.__getitem__, _free_vars(f)))
         known, holds = self._labels.get(key, (0, 0))
         found = 0
@@ -198,7 +193,7 @@ class PotentialistSystem:
             while todo:
                 bit = todo & -todo
                 j = bit.bit_length() - 1
-                truth = _eval(self.worlds[j], f, assignment, partial(self._modal, j))
+                truth = _code(f)(self.worlds[j], assignment, partial(self._fill, self._reach[j]))
                 known |= bit
                 if truth:
                     holds |= bit
@@ -207,7 +202,7 @@ class PotentialistSystem:
                     break
                 todo ^= bit
             self._labels[key] = known, holds
-        return found
+        return found.bit_length() - 1 if found else None
 
     def _label(self, f):
         """The mask of worlds where the closed formula f holds: composed from
@@ -233,7 +228,7 @@ class PotentialistSystem:
             case Necessarily(body):
                 holds = everywhere & ~self._dia(everywhere & ~label(body))
             case _:
-                self._fill(f, {}, everywhere)
+                self._fill(everywhere, f, None, {})
                 return self._labels[key][1]
         self._labels[key] = everywhere, holds
         return holds

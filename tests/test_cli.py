@@ -12,6 +12,7 @@ from finarith.cli import main
 from finarith.core import make_truncation
 from finarith.interp import InstrumentedStructure
 from finarith.logic import parse_formula
+from test_modal import counting_code
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -223,13 +224,7 @@ class TestReportContent:
 
     def test_modal_eval_witness_costs_no_extra_evaluation(self, monkeypatch):
         calls = []
-        real = modal._eval
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(modal, "_eval", counting)
+        monkeypatch.setattr(modal, "_code", counting_code(calls))
         text = "dia E x. x = " + " + ".join(["1"] * 8)
         modal.eval_modal(modal.aristotelian_system(12), "1", parse_formula(text))
         alone = len(calls)

@@ -383,6 +383,15 @@ class TestSampleElements:
         assert [mp.valuation(x) for x in sample] == sorted(mp.valuation(x) for x in sample)
         assert sample[0] == mp.zero and sample[-1] == mp.largest
 
+    def test_gapped_subset_world_is_sampled_by_position(self):
+        # Drawn by value, the sample would ask the world of even numbers for
+        # odd ones.  The draws are those of a truncation of the same size.
+        w = make_subset_world(range(0, 3000, 2))
+        positions = sample_elements(make_truncation(1499), 50, random.Random(3))
+        assert sample_elements(w, 50, random.Random(3)) == [2 * p for p in positions]
+        report = check_fa_axioms(w)
+        assert {g.mode for g in report.groups.values()} == {"sampled"}
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_small_model_is_taken_whole(self, n):
         m = make_truncation(n)

@@ -19,7 +19,7 @@ from finarith.interp import (
     build_tower, check_bounded_induction, embed_initial, limit_eval,
     minimal_admissible_width, verify_biinterpretation, verify_induction_lex,
 )
-from finarith.logic import parse_formula
+from finarith.logic import Eq, Not, Var, parse_formula
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +305,13 @@ class TestLexMinimization:
     def test_needs_exactly_one_free_variable(self, lift100):
         with pytest.raises(EvalError):
             verify_induction_lex(lift100, parse_formula("x = y"))
+
+    def test_deep_formula_is_an_eval_error(self, lift100):
+        phi = Eq(Var("x"), Var("x"))
+        for _ in range(3000):
+            phi = Not(phi)
+        with pytest.raises(EvalError, match="formula is nested too deeply"):
+            verify_induction_lex(lift100, phi)
 
 
 class TestTower:

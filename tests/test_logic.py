@@ -21,7 +21,7 @@ from finarith.errors import EvalError, ParseError, WrongEvaluatorError
 from finarith.logic import (
     And, Const0, Const1, ConstN, Defined, Eq, Exists, Forall, Formula,
     Implies, Lt, Necessarily, Not, Or, PlusAtom, Possibly, Prod, Succ, Sum,
-    Term, TimesAtom, Var, _Node, _nodes, _Parser, eval_formula, eval_term,
+    Term, TimesAtom, Var, _decide, _Node, _nodes, _Parser, eval_formula, eval_term,
     free_variables, induction_instance, is_delta0, is_first_order,
     parse_formula, parse_term, print_formula, print_term, substitute,
 )
@@ -223,10 +223,20 @@ class TestPrinter:
         "A x < N. (x = 0 | 0 < x)",
         "dia (Def(1) & !Def(0))",
         "(x = 0 | y = 0) & z = 0",
+        "!!A x. x = 0",
+        "!dia E x. x = 0",
+        "(!!A x. x = 0) & 0 = 0",
     ])
     def test_round_trip_is_identity_on_asts(self, text):
         f = parse_formula(text)
         assert parse_formula(print_formula(f)) == f
+
+    def test_prefix_chain_takes_no_parentheses_of_its_own(self):
+        # A prefix body of a prefix passes its context on, as a quantifier
+        # body does: no "!!(A x. x = 0)" and no "!dia (E x. x = 0)".
+        assert print_formula(parse_formula("!!A x. x = 0")) == "!!A x. x = 0"
+        translated = potentialist_translation(parse_formula("!E x. x = 0"))
+        assert print_formula(translated) == "!dia E x. x = 0"
 
     def test_canonical_text_stable(self):
         # print o parse o print is the identity on printed text.
@@ -328,6 +338,14 @@ class TestEvalFormula:
             f = Not(f)
         with pytest.raises(EvalError):
             eval_formula(make_truncation(3), f, {})
+
+    def test_deep_nesting_is_an_eval_error_in_decide(self):
+        # _decide serves fa eval --trace and verify_induction_lex.
+        f = Eq(Var("x"), Var("x"))
+        for _ in range(3000):
+            f = Not(f)
+        with pytest.raises(EvalError, match="formula is nested too deeply"):
+            _decide(make_truncation(3), Forall("x", None, f), {}, None)
 
     def test_deep_term_nesting_is_an_eval_error(self):
         t = Const0()

@@ -2,6 +2,7 @@
 import gc
 import itertools
 import random
+import threading
 import time
 import weakref
 from collections import Counter
@@ -32,6 +33,21 @@ def ari30():
 @pytest.fixture(scope="module")
 def sub1():
     return arbitrary_set_system(1)
+
+
+def counting_code(calls):
+    """A stand-in for modal._code whose closures append their node to calls
+    each time they run: one entry per evaluation of a formula at a world."""
+    real = modal._code
+
+    def code(node):
+        run = real(node)
+
+        def counted(*args):
+            calls.append(node)
+            return run(*args)
+        return counted
+    return code
 
 
 class Miscounting(SubsetWorld):
@@ -209,6 +225,29 @@ class TestEvalModal:
         with pytest.raises(EvalError):
             eval_modal(aristotelian_system(3), "1", f)
 
+    def test_modal_nesting_depth_floor(self):
+        # Each nested dia costs two Python frames, its compiled closure and
+        # the modal callback, so 400 fit under the default recursion limit.
+        # A fresh thread starts with an empty stack, so the depth reached
+        # does not depend on the test runner's frames.
+        decided = []
+
+        def decide_both():
+            for n in (400, 3000):
+                f = Eq(Const0(), Const0())
+                for _ in range(n):
+                    f = Possibly(f)
+                try:
+                    decided.append((n, aristotelian_system(3).decide("1", f)[0]))
+                except EvalError:
+                    decided.append((n, EvalError))
+
+        thread = threading.Thread(target=decide_both)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert decided == [(400, True), (3000, EvalError)]
+
     def test_very_deep_nesting_is_an_eval_error_in_decide_and_check_schema(self):
         f = Eq(Const0(), Const0())
         for _ in range(3000):
@@ -381,14 +420,8 @@ class TestSchemas:
         system = arbitrary_set_system(2)
         pairs = load_packaged_pairs("schema_instances.fml")
         first = check_schema(system, SCHEMAS["Dot3"], pairs)
-        real = modal._eval
         calls = []
-
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
-
-        monkeypatch.setattr(modal, "_eval", counting)
+        monkeypatch.setattr(modal, "_code", counting_code(calls))
         assert check_schema(system, SCHEMAS["Dot3"], pairs) == first
         assert calls == []
 
@@ -397,19 +430,16 @@ class TestSchemas:
         # parsed afresh into distinct nodes, add no label and evaluate
         # nothing.
         system = arbitrary_set_system(2)
-        real = modal._eval
+        real = modal._code
         calls = []
-
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
+        counting = counting_code(calls)
 
         for name in SCHEMAS:
             first = check_schema(system, SCHEMAS[name], load_packaged_pairs("schema_instances.fml"))
             size = len(system._labels)
-            monkeypatch.setattr(modal, "_eval", counting)
+            monkeypatch.setattr(modal, "_code", counting)
             again = check_schema(system, SCHEMAS[name], load_packaged_pairs("schema_instances.fml"))
-            monkeypatch.setattr(modal, "_eval", real)
+            monkeypatch.setattr(modal, "_code", real)
             assert len(system._labels) == size
             assert calls == []
             assert again == first
@@ -502,13 +532,7 @@ class TestTranslationTheorem:
 
     def test_corpus_is_checked_before_any_evaluation(self, monkeypatch):
         calls = []
-        real = modal._eval
-
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
-
-        monkeypatch.setattr(modal, "_eval", counting)
+        monkeypatch.setattr(modal, "_code", counting_code(calls))
         corpus = [parse_formula("E x. x = 1"), parse_formula("x = 1")]
         with pytest.raises(EvalError, match="not closed: x = 1"):
             check_translation_theorem(aristotelian_system(3), corpus)
