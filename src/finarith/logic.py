@@ -32,7 +32,11 @@ and dia/box share one contract: _scan over a quantifier's range, and the
 modal callback over the accessible worlds, each return the first decider,
 an element or a world's index, or None when there is none, and the
 compiled binder reads its truth from that.  _decide pairs the truth with
-the decider for the ``fa eval --trace`` chain.
+the decider for the ``fa eval --trace`` chain.  A quantifier's range is
+compiled with it: the elements below its bound, or, for an unbounded
+quantifier whose body names the only value its variable can take, as in
+E b. b = a + 1, that one value (one-point elimination, under "Quantifier
+ranges"); otherwise the whole structure.
 """
 from __future__ import annotations
 
@@ -40,7 +44,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import EvalError, ParseError, WrongEvaluatorError
+from .errors import DomainError, EvalError, ParseError, WrongEvaluatorError
 
 
 # --- Nodes ---
@@ -588,12 +592,14 @@ def _show(node, level):
 # where body's truth is want, by index, or None, as _scan returns the first
 # deciding element; eval_formula passes None, and a dia/box then raises
 # WrongEvaluatorError.  _COMPILERS holds one builder per node class, called
-# with the node's fields, each term or formula field already compiled.  A
+# with the node's fields, each term or formula field already compiled; a
+# quantifier gets its range closure (see _range) in its bound's place.  A
 # closure captures those and nothing else: no node it is part of, so an
 # evaluated tree holds no reference cycle, and no structure or value, so a
-# tree's code serves every structure.  A dia/box body is the one field
-# passed as a node: the modal callback evaluates it at other worlds, and
-# labels it by the node.
+# tree's code serves every structure.  A range closure, a pin's candidate
+# included, likewise captures compiled terms only.  A dia/box body is the
+# one field passed as a node: the modal callback evaluates it at other
+# worlds, and labels it by the node.
 
 _MISSING = object()
 
@@ -605,14 +611,17 @@ def _code(node):
         return node._code
     except AttributeError:
         pass
-    build = _COMPILERS.get(type(node))
+    cls = type(node)
+    build = _COMPILERS.get(cls)
     if build is None:
         raise TypeError(f"not a term or formula: {node!r}")
     fields = list(map(node.__getattribute__, node.__match_args__))
-    if type(node) not in _MODALS:
+    if cls not in _MODALS:
         for i, x in enumerate(fields):
             if x is not None and type(x) is not str:
                 fields[i] = _code(x)
+    if cls in _QUANTIFIERS:
+        fields[1] = _range(node)  # in the bound's place: the range it scans
     code = build(*fields)
     object.__setattr__(node, "_code", code)
     return code
@@ -727,10 +736,11 @@ def _implies(left, right):
     return implies
 
 
-def _quantifier(want, v, bound, body):
-    """E (want True) or A (want False), decided by _scan."""
+def _quantifier(want, v, elements, body):
+    """E (want True) or A (want False) over the range closure elements
+    (see _range), decided by _scan."""
     def quantifier(m, assignment, modal):
-        return (_scan(m, v, bound, body, want, assignment, modal) is not None) == want
+        return (_scan(m, v, elements, body, want, assignment, modal) is not None) == want
     return quantifier
 
 
@@ -803,26 +813,21 @@ def _decide(m, f, assignment, modal):
     EvalError, as in eval_formula."""
     want = type(f) is Exists
     try:
-        bound = None if f.bound is None else _code(f.bound)
-        found = _scan(m, f.var, bound, _code(f.body), want, assignment, modal)
+        found = _scan(m, f.var, _range(f), _code(f.body), want, assignment, modal)
     except RecursionError as exc:
         raise EvalError("formula is nested too deeply") from exc
     return (found is not None) == want, found
 
 
-def _scan(m, v, bound, body, want, assignment, modal):
+def _scan(m, v, elements, body, want, assignment, modal):
     """The one binder scan, over a quantifier's compiled parts: the first
-    element of the range whose body's truth is want (True for E, False for
-    A), or None when there is none; no element is None, the evaluator's
-    undefined value."""
+    element of the range elements(m, assignment) whose body's truth is want
+    (True for E, False for A), or None when there is none; no element is
+    None, the evaluator's undefined value.  The range is read before v is
+    assigned, so a bound sees v's outer value."""
     saved = assignment.get(v, _MISSING)
     try:
-        if bound is None:
-            elements = m
-        else:
-            top = bound(m, assignment)
-            elements = () if top is None else m.iter_below(top)  # undefined: a vacuous range
-        for x in elements:
+        for x in elements(m, assignment):
             assignment[v] = x
             if body(m, assignment, modal) == want:
                 return x
@@ -832,3 +837,99 @@ def _scan(m, v, bound, body, want, assignment, modal):
             assignment.pop(v, None)
         else:
             assignment[v] = saved
+
+
+# --- Quantifier ranges ---
+
+# _range gives a quantifier's range as a closure elements(m, assignment),
+# which _scan iterates.  A bounded quantifier ranges over the elements
+# below its bound.  An unbounded one ranges over the whole structure unless
+# its body pins the variable x (one-point elimination, the one-point rule
+# of free logic): the body can have the truth the scan looks for, want,
+# only where x is the value of one term, its candidate.  The range is then
+# that value alone, or nothing when it is undefined or not an element.
+#
+# _pin finds the candidate by walking, without recursion, the parts of the
+# body whose truth want forces: the body of a !, with the truth flipped;
+# both sides of a true & or a false |; the antecedent (true) and the
+# consequent (false) of a false ->; and the body of a true E y or a false
+# A y, bounded or not, unless y is x.  A pin is a part forced true that
+# reads x = t, t = x, Plus(a, b, x) or Times(a, b, x), with neither x nor
+# any y passed on the way free in t, a or b; its candidate is t, a + b or
+# a * b.  So E b. b = a + 1, E c. E d. (Plus(a, b, c) & Times(a, b, d))
+# and, since a false -> forces its antecedent, A z. (Plus(x, y, z) -> phi)
+# each scan one candidate.  The candidate is unique, so the decider, the
+# first element whose body's truth is want, is the full scan's.
+#
+# The candidate is evaluated once per scan, before x is assigned, and as
+# lazily as the pin evaluates it.  When that raises EvalError (an
+# unassigned variable) or DomainError, the range is the whole structure, so
+# the scan meets the error where it did before.  Otherwise the body is
+# evaluated at most at the candidate, where the full scan evaluated it
+# too, so wherever the full scan gave a verdict the verdict is the same;
+# the membership test keeps it on a structure whose operations leave its
+# domain.  An error that the full scan met only at elements that could not
+# decide is no longer met.  Bounded quantifiers keep their scan: iter_below
+# and less may disagree on a structure with a bent order.
+
+def _range(f):
+    """The range closure of the quantifier node f."""
+    if f.bound is not None:
+        return partial(_below, _code(f.bound))
+    pin = _pin(f.var, f.body, type(f) is Exists)
+    return _everything if pin is None else partial(_one_point, pin)
+
+
+def _everything(m, assignment):
+    return m
+
+
+def _below(bound, m, assignment):
+    top = bound(m, assignment)
+    return () if top is None else m.iter_below(top)  # undefined: a vacuous range
+
+
+def _one_point(pin, m, assignment):
+    try:
+        x = pin(m, assignment)
+    except (EvalError, DomainError):
+        return m
+    return () if x is None or x not in m else (x,)
+
+
+def _pin(v, body, want):
+    """The compiled candidate term of v when body pins v for the truth
+    want, or None (see "Quantifier ranges")."""
+    x = Var(v)
+    stack = [(body, want, frozenset((v,)))]
+    while stack:
+        g, truth, hidden = stack.pop()
+        cls = type(g)
+        if cls is Not:
+            stack.append((g.body, not truth, hidden))
+        elif cls is (And if truth else Or):
+            stack += (g.right, truth, hidden), (g.left, truth, hidden)
+        elif cls is Implies and not truth:
+            stack += (g.right, False, hidden), (g.left, True, hidden)
+        elif cls is (Exists if truth else Forall):
+            if g.var != v:
+                stack.append((g.body, truth, hidden | {g.var}))
+        elif truth and cls is Eq:
+            for side, t in (g.left, g.right), (g.right, g.left):
+                if side == x and hidden.isdisjoint(_free_vars(t)):
+                    return _code(t)
+        elif truth and cls in _GRAPH_OPS and g.c == x:
+            if hidden.isdisjoint(_free_vars(g.a)) and hidden.isdisjoint(_free_vars(g.b)):
+                return partial(_operation, _GRAPH_OPS[cls], _code(g.a), _code(g.b))
+    return None
+
+
+_GRAPH_OPS = {PlusAtom: "plus", TimesAtom: "times"}
+
+
+def _operation(op, ta, tb, m, assignment):
+    """The c of Plus(a, b, c) or Times(a, b, c): a and b are both
+    evaluated, as the atom evaluates them, before op."""
+    a = ta(m, assignment)
+    b = tb(m, assignment)
+    return None if a is None or b is None else getattr(m, op)(a, b)

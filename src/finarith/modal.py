@@ -371,33 +371,32 @@ def check_translation_theorem(sys, corpus):
         raise EvalError(f"translation theorem requires the convergence condition: {exc}") from exc
 
     corpus = list(corpus)  # checked, then evaluated: read it once
-    for psi in corpus:
-        if not is_first_order(psi):
-            raise EvalError(f"corpus sentence is not first-order: {print_formula(psi)}")
-        if free_variables(psi):
-            raise EvalError(f"corpus sentence is not closed: {print_formula(psi)}")
-
     results = []
     violations = []
     skipped = []
-    for psi in corpus:
-        text = print_formula(psi)
-        if contains_constN(psi):
-            skipped.append(text)
-            continue
-        limit_truth = eval_formula(sys.limit, psi, {})
-        try:
+    try:  # closedness, printing and translation recurse once per level
+        for psi in corpus:
+            if not is_first_order(psi):
+                raise EvalError(f"corpus sentence is not first-order: {print_formula(psi)}")
+            if free_variables(psi):
+                raise EvalError(f"corpus sentence is not closed: {print_formula(psi)}")
+        for psi in corpus:
+            text = print_formula(psi)
+            if contains_constN(psi):
+                skipped.append(text)
+                continue
+            limit_truth = eval_formula(sys.limit, psi, {})
             holds = sys._label(potentialist_translation(psi))
-        except RecursionError as exc:
-            raise EvalError("formula is nested too deeply") from exc
-        per_world = {}
-        for i, wid in enumerate(sys.ids):
-            t = per_world[wid] = bool(holds >> i & 1)
-            if t != limit_truth:
-                violations.append(
-                    f"{text}: limit says {limit_truth}, world {wid} says {t}"
-                )
-        results.append((text, limit_truth, per_world))
+            per_world = {}
+            for i, wid in enumerate(sys.ids):
+                t = per_world[wid] = bool(holds >> i & 1)
+                if t != limit_truth:
+                    violations.append(
+                        f"{text}: limit says {limit_truth}, world {wid} says {t}"
+                    )
+            results.append((text, limit_truth, per_world))
+    except RecursionError as exc:
+        raise EvalError("formula is nested too deeply") from exc
     return TranslationReport(
         passed=not violations, results=results, violations=violations, skipped=skipped
     )

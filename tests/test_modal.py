@@ -15,7 +15,7 @@ from finarith.corpus import load_packaged_formulas, load_packaged_pairs
 from finarith.errors import DomainError, EvalError
 from finarith.interp import InstrumentedStructure
 from finarith.logic import (
-    Const0, Eq, Necessarily, Possibly, eval_formula, parse_formula, print_formula,
+    Const0, Eq, Necessarily, Not, Possibly, eval_formula, parse_formula, print_formula,
 )
 from finarith.modal import (
     SCHEMAS, PotentialistSystem, aristotelian_system, arbitrary_set_system, check_schema,
@@ -537,6 +537,14 @@ class TestTranslationTheorem:
         with pytest.raises(EvalError, match="not closed: x = 1"):
             check_translation_theorem(aristotelian_system(3), corpus)
         assert calls == []
+
+    def test_deeply_nested_corpus_sentence_is_an_eval_error(self):
+        # The closedness check recurses once per level, as evaluation does.
+        f = Eq(Const0(), Const0())
+        for _ in range(3000):
+            f = Not(f)
+        with pytest.raises(EvalError, match="formula is nested too deeply"):
+            check_translation_theorem(aristotelian_system(3), [f])
 
     def test_non_convergent_system_names_the_failed_condition(self):
         worlds = [SubsetWorld({0}), SubsetWorld({0, 1})]
