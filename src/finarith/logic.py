@@ -821,13 +821,13 @@ def _decide(m, f, assignment, modal):
 
 def _scan(m, v, elements, body, want, assignment, modal):
     """The one binder scan, over a quantifier's compiled parts: the first
-    element of the range elements(m, assignment) whose body's truth is want
-    (True for E, False for A), or None when there is none; no element is
-    None, the evaluator's undefined value.  The range is read before v is
-    assigned, so a bound sees v's outer value."""
+    element of the range elements(m, assignment, modal) whose body's truth
+    is want (True for E, False for A), or None when there is none; no
+    element is None, the evaluator's undefined value.  The range is read
+    before v is assigned, so a bound sees v's outer value."""
     saved = assignment.get(v, _MISSING)
     try:
-        for x in elements(m, assignment):
+        for x in elements(m, assignment, modal):
             assignment[v] = x
             if body(m, assignment, modal) == want:
                 return x
@@ -841,13 +841,14 @@ def _scan(m, v, elements, body, want, assignment, modal):
 
 # --- Quantifier ranges ---
 
-# _range gives a quantifier's range as a closure elements(m, assignment),
-# which _scan iterates.  A bounded quantifier ranges over the elements
-# below its bound.  An unbounded one ranges over the whole structure unless
-# its body pins the variable x (one-point elimination, the one-point rule
-# of free logic): the body can have the truth the scan looks for, want,
-# only where x is the value of one term, its candidate.  The range is then
-# that value alone, or nothing when it is undefined or not an element.
+# _range gives a quantifier's range as a closure
+# elements(m, assignment, modal), which _scan iterates.  A bounded
+# quantifier ranges over the elements below its bound.  An unbounded one
+# ranges over the whole structure unless its body pins the variable x
+# (one-point elimination, the one-point rule of free logic): the body can
+# have the truth the scan looks for, want, only where x is the value of
+# one term, its candidate.  The range is then that value alone, or nothing
+# when it is undefined or not an element.
 #
 # _pin finds the candidate by walking, without recursion, the parts of the
 # body whose truth want forces: the body of a !, with the truth flipped;
@@ -861,38 +862,47 @@ def _scan(m, v, elements, body, want, assignment, modal):
 # each scan one candidate.  The candidate is unique, so the decider, the
 # first element whose body's truth is want, is the full scan's.
 #
-# The candidate is evaluated once per scan, before x is assigned, and as
-# lazily as the pin evaluates it.  When that raises EvalError (an
-# unassigned variable) or DomainError, the range is the whole structure, so
-# the scan meets the error where it did before.  Otherwise the body is
-# evaluated at most at the candidate, where the full scan evaluated it
-# too, so wherever the full scan gave a verdict the verdict is the same;
-# the membership test keeps it on a structure whose operations leave its
-# domain.  An error that the full scan met only at elements that could not
-# decide is no longer met.  Bounded quantifiers keep their scan: iter_below
-# and less may disagree on a structure with a bent order.
+# The range narrows only where the body cannot raise at an element that
+# could not decide: every free variable of the quantifier is assigned (so
+# neither the body nor the candidate meets an unassigned one), and a body
+# with a dia or box is evaluated with a modal callback (without one, a
+# dia/box raises WrongEvaluatorError).  Otherwise the range is the whole
+# structure, and the scan meets an error where it did before.  The
+# candidate is evaluated once per scan, before x is assigned, and as
+# lazily as the pin evaluates it; when that raises DomainError, the range
+# is again the whole structure.  Otherwise the body is evaluated at most
+# at the candidate, where the full scan evaluated it too, so the verdict
+# is the full scan's; the membership test keeps it on a structure whose
+# operations leave its domain.  On such a structure alone, a DomainError
+# that the full scan met only at elements that could not decide is no
+# longer met.  Bounded quantifiers keep their scan: iter_below and less
+# may disagree on a structure with a bent order.
 
 def _range(f):
     """The range closure of the quantifier node f."""
     if f.bound is not None:
         return partial(_below, _code(f.bound))
     pin = _pin(f.var, f.body, type(f) is Exists)
-    return _everything if pin is None else partial(_one_point, pin)
+    if pin is None:
+        return _everything
+    return partial(_one_point, pin, _free_vars(f), not is_first_order(f.body))
 
 
-def _everything(m, assignment):
+def _everything(m, assignment, modal):
     return m
 
 
-def _below(bound, m, assignment):
+def _below(bound, m, assignment, modal):
     top = bound(m, assignment)
     return () if top is None else m.iter_below(top)  # undefined: a vacuous range
 
 
-def _one_point(pin, m, assignment):
+def _one_point(pin, free, modal_inside, m, assignment, modal):
+    if modal_inside and modal is None or not all(map(assignment.__contains__, free)):
+        return m
     try:
         x = pin(m, assignment)
-    except (EvalError, DomainError):
+    except DomainError:
         return m
     return () if x is None or x not in m else (x,)
 

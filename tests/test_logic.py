@@ -332,6 +332,12 @@ class TestEvalFormula:
         with pytest.raises(WrongEvaluatorError):
             eval_formula(make_truncation(3), parse_formula("dia Def(0)"), {})
 
+    def test_modal_rejected_beside_a_pin(self):
+        # x = N + 1 pins x to an undefined candidate, but the full scan
+        # meets the dia at x = 0 first.
+        with pytest.raises(WrongEvaluatorError):
+            eval_formula(make_truncation(3), parse_formula("E x. (dia 0 = 0 & x = N + 1)"), {})
+
     def test_deep_nesting_is_an_eval_error(self):
         f = Eq(Const0(), Const0())
         for _ in range(3000):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from finarith import logic
 from finarith.cli import _quantifier_trace
 from finarith.core import SubsetWorld, Truncation
+from finarith.errors import EvalError, WrongEvaluatorError
 from finarith.logic import (
     Exists, Forall, _nodes, _range, eval_formula, parse_formula, print_formula,
 )
@@ -110,10 +111,11 @@ def pinned_quantifiers(draw, names=OUTER, pin_names=OUTER):
 
 
 @st.composite
-def sentences(draw, pin_names=OUTER):
-    """(a sentence whose quantifier over x is pinned or not, as told, under
-    a prefix over a and b; whether it pins x)."""
-    f, pinned = draw(pinned_quantifiers(OUTER, pin_names))
+def sentences(draw, names=OUTER, pin_names=OUTER):
+    """(a formula whose quantifier over x is pinned or not, as told, under
+    a prefix over a and b; whether it pins x).  It is a sentence when names
+    and pin_names are a and b only."""
+    f, pinned = draw(pinned_quantifiers(names, pin_names))
     for name in reversed(OUTER):
         f = (draw(st.sampled_from(["A", "E"])), name, None, f)
     return f, pinned
@@ -165,13 +167,13 @@ def test_pinned_shapes_match_the_oracle(case, world):
     assert _quantifier_trace(m, f) == (expected, oracles.quantifier_trace(g, w))
 
 
-@settings(max_examples=200, deadline=None)
-@given(sentences(pin_names=OUTER + ("u",)), worlds)
-def test_an_unassigned_variable_in_the_candidate_is_met_as_before(case, world):
-    # u is bound nowhere and occurs only in the pin.  When the candidate
-    # reads u, the quantifier scans its whole range and raises EvalError
-    # where the full scan did; the candidate evaluates terms as lazily as
-    # the pin conjunct does, so where it skips u, so does the full scan.
+@settings(max_examples=300, deadline=None)
+@given(sentences(names=OUTER + ("u",), pin_names=OUTER + ("u",)), worlds)
+def test_an_unassigned_variable_is_met_as_before(case, world):
+    # u is bound nowhere and may occur in the pin and in the rest of the
+    # body.  A quantifier with an unassigned free variable scans its whole
+    # range, so it raises EvalError where the full scan did, at elements
+    # that cannot decide it too.
     (g, _), (m, w) = case, world
     f = parse_formula(oracles.show(g))
     got = outcome(lambda: eval_formula(m, f))
@@ -208,6 +210,22 @@ def test_operations_that_leave_the_domain_keep_the_scan_verdict(case, n):
     for run in (eval_formula, _quantifier_trace):
         got, expected = outcome(lambda: run(m, f)), outcome(lambda: run(m, reference))
         assert got == expected or isinstance(expected, type) and not isinstance(got, type)
+
+
+def test_open_and_modal_bodies_meet_their_errors_as_before():
+    # Each body raises at x = 0, which cannot decide; the candidate, 1 or
+    # undefined, would.
+    m = Truncation(3)
+    for text, error in (
+        ("E x. ((x = 1 | b = 0) & x = 1)", EvalError),
+        ("E x. (dia 0 = 0 & x = N + 1)", WrongEvaluatorError),
+        ("A x. ((dia 0 = 0 & x = N + 1) -> 0 = 1)", WrongEvaluatorError),
+    ):
+        f = parse_formula(text)
+        assert is_pinned(f), text
+        for run in (eval_formula, _quantifier_trace):
+            with pytest.raises(error):
+                run(m, f)
 
 
 def test_inner_binders_stop_or_hide_the_pin():
@@ -285,6 +303,17 @@ def test_paper_sentences_hold_below_the_top_of_the_chain(text, closed_form):
     assert [chain(*small).decide(i, f)[0] for i in range(3)] == [
         oracles.holds(g, frame, i, {}) for i in range(3)
     ]
+
+
+def test_a_modal_body_is_pinned_in_modal_evaluation():
+    # With a modal callback the dia cannot raise, so b scans one candidate
+    # per a, not the whole top world.
+    world = CountingTruncation(3124)
+    system = chain(4, 31, world)
+    world.requests = 0
+    f = parse_formula("A a. E b. (dia b = b & b = a + 1)")
+    assert system.decide(2, f) == (False, None)
+    assert world.requests == 2 * 3124 + 1
 
 
 @pytest.mark.parametrize("top", (1561, 3124))
