@@ -179,10 +179,7 @@ class SubsetWorld(PartialStructure):
             self._require(x)
         return x
 
-    def element(self, value):
-        if not (type(value) is int and value in self._members):
-            self._require(value)
-        return value
+    element = valuation  # an element is its own value
 
     def __repr__(self):
         return f"SubsetWorld({set(self.domain) if self.domain else '{}'})"
@@ -350,7 +347,8 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     the pairs whose first element comes first, and still meets the first
     failing pair of the full sweep.  Each arithmetic pair asks its two
     identities' operations once, and induction_fails evaluates each
-    formula at most once per element.
+    formula at most once per element.  An operation whose value leaves the
+    domain fails the group that meets it, with the DomainError's message.
     """
     if budget < 0:
         raise ValueError("budget must be at least 0")
@@ -419,56 +417,62 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     # and the value is the immediate order-successor.
     successor = {a: succ(a) for a in elements}
     fails = []
-    s = successor[top] if top in successor else succ(top)
-    if s is not None:
-        fails.append("successor of the largest element is defined")
-    for a in elements:
-        if a == top:
-            continue
-        s = successor[a]
-        if s is None:
-            fails.append(f"successor undefined at {a!r} below the top")
-            break
-        if not less(a, s):
-            fails.append(f"successor of {a!r} is not above it")
-            break
-        for b in elements:
-            if less(a, b) and less(b, s):
-                fails.append(f"{b!r} lies strictly between {a!r} and its successor")
+    try:
+        s = successor[top] if top in successor else succ(top)
+        if s is not None:
+            fails.append("successor of the largest element is defined")
+        for a in elements:
+            if a == top:
+                continue
+            s = successor[a]
+            if s is None:
+                fails.append(f"successor undefined at {a!r} below the top")
                 break
-        if fails:
-            break
+            if not less(a, s):
+                fails.append(f"successor of {a!r} is not above it")
+                break
+            for b in elements:
+                if less(a, b) and less(b, s):
+                    fails.append(f"{b!r} lies strictly between {a!r} and its successor")
+                    break
+            if fails:
+                break
+    except DomainError as exc:
+        fails.append(f"an operation left the domain: {exc}")
     groups["successor"] = GroupResult("successor", not fails, mode, fails)
 
     # Arithmetic: directed recursion identities, Kleene sense ("if the
     # right-hand side is defined, so is the left, with equal value").
     fails = []
     zero, one = m.zero, m.one
-    if zero is None or one is None:
-        fails.append("constants 0 and 1 must denote in an FA model")
-    else:
-        for a in elements:
-            if plus(a, zero) != a:
-                fails.append(f"{a!r} + 0 != {a!r}")
-                break
-            if times(a, zero) != zero:
-                fails.append(f"{a!r} * 0 != 0")
-                break
-        for n, mm in itertools.product(elements, repeat=2) if sampled is None else sampled:
-            sm = successor[mm]
-            if sm is None:
-                continue
-            rhs = plus(n, mm)
-            if rhs is not None:
-                rhs = successor[rhs] if rhs in successor else succ(rhs)
-            if rhs is not None and plus(n, sm) != rhs:
-                fails.append(f"{n!r} + ({mm!r}+1) != ({n!r}+{mm!r}) + 1")
-                break
-            prod = times(n, mm)
-            rhs = None if prod is None else plus(prod, n)
-            if rhs is not None and times(n, sm) != rhs:
-                fails.append(f"{n!r} * ({mm!r}+1) != {n!r}*{mm!r} + {n!r}")
-                break
+    try:
+        if zero is None or one is None:
+            fails.append("constants 0 and 1 must denote in an FA model")
+        else:
+            for a in elements:
+                if plus(a, zero) != a:
+                    fails.append(f"{a!r} + 0 != {a!r}")
+                    break
+                if times(a, zero) != zero:
+                    fails.append(f"{a!r} * 0 != 0")
+                    break
+            for n, mm in itertools.product(elements, repeat=2) if sampled is None else sampled:
+                sm = successor[mm]
+                if sm is None:
+                    continue
+                rhs = plus(n, mm)
+                if rhs is not None:
+                    rhs = successor[rhs] if rhs in successor else succ(rhs)
+                if rhs is not None and plus(n, sm) != rhs:
+                    fails.append(f"{n!r} + ({mm!r}+1) != ({n!r}+{mm!r}) + 1")
+                    break
+                prod = times(n, mm)
+                rhs = None if prod is None else plus(prod, n)
+                if rhs is not None and times(n, sm) != rhs:
+                    fails.append(f"{n!r} * ({mm!r}+1) != {n!r}*{mm!r} + {n!r}")
+                    break
+    except DomainError as exc:
+        fails.append(f"an operation left the domain: {exc}")
     groups["arithmetic"] = GroupResult("arithmetic", not fails, mode, fails)
 
     # Induction: each corpus formula's induction instance holds on the swept
@@ -477,8 +481,11 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     fails = []
     if m.largest is not None:
         for phi, v in zip(induction_corpus, induction_vars):
-            if induction_fails(m, phi, v, elements):
-                fails.append(f"induction instance fails for {print_formula(phi)}")
+            try:
+                if induction_fails(m, phi, v, elements):
+                    fails.append(f"induction instance fails for {print_formula(phi)}")
+            except DomainError as exc:
+                fails.append(f"induction instance for {print_formula(phi)} leaves the domain: {exc}")
     groups["induction"] = GroupResult("induction", not fails, mode, fails)
 
     return AxiomReport(passed=all(g.passed for g in groups.values()), groups=groups)

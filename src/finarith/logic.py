@@ -6,7 +6,8 @@ quantifiers; modal operators dia/box.  Includes a parser for the ASCII
 grammar, a printer that writes the parentheses the grammar needs, and a
 two-valued evaluator over any PartialStructure using the negative
 convention: an atom with an undefined term is false, with Def(.) as the
-explicit definedness atom.
+explicit definedness atom.  A graph atom states an equation, so Plus(a, b,
+c) holds exactly where a + b = c does, and Times(a, b, c) where a * b = c.
 
 Every term and formula class is a frozen, slotted dataclass built on _Node,
 which keeps a node's structural hash, free variables and compiled closure
@@ -35,8 +36,8 @@ compiled binder reads its truth from that.  _decide pairs the truth with
 the decider for the ``fa eval --trace`` chain.  A quantifier's range is
 compiled with it: the elements below its bound, or, for an unbounded
 quantifier whose body names the only value its variable can take, as in
-E b. b = a + 1, that one value (one-point elimination, under "Quantifier
-ranges"); otherwise the whole structure.
+E b. b = a + 1 or E c. Plus(a, b, c), that one value (one-point
+elimination, under "Quantifier ranges"); otherwise the whole structure.
 """
 from __future__ import annotations
 
@@ -594,14 +595,26 @@ def _show(node, level):
 # WrongEvaluatorError.  _COMPILERS holds one builder per node class, called
 # with the node's fields, each term or formula field already compiled; a
 # quantifier gets its range closure (see _range) in its bound's place.  A
-# closure captures those and nothing else: no node it is part of, so an
-# evaluated tree holds no reference cycle, and no structure or value, so a
-# tree's code serves every structure.  A range closure, a pin's candidate
+# graph atom has no builder: it compiles as its equation (see _equation),
+# so it stops at its first undefined term, as = does.  A closure captures
+# those and nothing else: no node it is part of, so an evaluated tree holds
+# no reference cycle, and no structure or value, so a tree's code serves
+# every structure.  A range closure, a pin's candidate
 # included, likewise captures compiled terms only.  A dia/box body is the
 # one field passed as a node: the modal callback evaluates it at other
 # worlds, and labels it by the node.
 
 _MISSING = object()
+
+_EQUATIONS = {PlusAtom: Sum, TimesAtom: Prod}
+
+
+def _equation(g):
+    """The equation that the graph atom g states, as an Eq node: a + b = c
+    for Plus(a, b, c), a * b = c for Times(a, b, c).  Any other node is
+    returned as it is."""
+    op = _EQUATIONS.get(type(g))
+    return g if op is None else Eq(op(g.a, g.b), g.c)
 
 
 def _code(node):
@@ -611,11 +624,12 @@ def _code(node):
         return node._code
     except AttributeError:
         pass
-    cls = type(node)
+    source = _equation(node)
+    cls = type(source)
     build = _COMPILERS.get(cls)
     if build is None:
         raise TypeError(f"not a term or formula: {node!r}")
-    fields = list(map(node.__getattribute__, node.__match_args__))
+    fields = list(map(source.__getattribute__, source.__match_args__))
     if cls not in _MODALS:
         for i, x in enumerate(fields):
             if x is not None and type(x) is not str:
@@ -701,17 +715,6 @@ def _defined(arg):
     return defined
 
 
-def _graph(op, ta, tb, tc):
-    """Plus(a, b, c) or Times(a, b, c), whose graph is the structure's
-    method named op."""
-    def graph(m, assignment, modal):
-        a = ta(m, assignment)
-        b = tb(m, assignment)
-        c = tc(m, assignment)
-        return a is not None and b is not None and c is not None and getattr(m, op)(a, b) == c
-    return graph
-
-
 def _not(body):
     def not_(m, assignment, modal):
         return not body(m, assignment, modal)
@@ -767,8 +770,6 @@ _COMPILERS = {
     Eq: _eq,
     Lt: _lt,
     Defined: _defined,
-    PlusAtom: partial(_graph, "plus"),
-    TimesAtom: partial(_graph, "times"),
     Not: _not,
     And: _and,
     Or: _or,
@@ -793,9 +794,10 @@ def eval_formula(m, f, assignment=None):
     """Classical two-valued semantics with the negative convention.
 
     eq/lt atoms are true only when both terms are defined; Def(t) is true
-    iff t evaluates; graph atoms need all three terms defined and the graph
-    triple to hold.  A bounded quantifier with an undefined bound has a
-    vacuous range (A true, E false).  Modal nodes are rejected.
+    iff t evaluates; Plus(a, b, c) is a + b = c and Times(a, b, c) is
+    a * b = c.  Each atom stops at its first undefined term.  A bounded
+    quantifier with an undefined bound has a vacuous range (A true, E
+    false).  Modal nodes are rejected.
     """
     try:
         return _code(f)(m, {} if assignment is None else assignment, None)
@@ -855,9 +857,10 @@ def _scan(m, v, elements, body, want, assignment, modal):
 # both sides of a true & or a false |; the antecedent (true) and the
 # consequent (false) of a false ->; and the body of a true E y or a false
 # A y, bounded or not, unless y is x.  A pin is a part forced true that
-# reads x = t, t = x, Plus(a, b, x) or Times(a, b, x), with neither x nor
-# any y passed on the way free in t, a or b; its candidate is t, a + b or
-# a * b.  So E b. b = a + 1, E c. E d. (Plus(a, b, c) & Times(a, b, d))
+# reads x = t or t = x, with neither x nor any y passed on the way free in
+# t; its candidate is t.  A graph atom is read as its equation, so
+# Plus(a, b, x) pins x to a + b and Times(a, b, x) to a * b.  So
+# E b. b = a + 1, E c. E d. (Plus(a, b, c) & Times(a, b, d))
 # and, since a false -> forces its antecedent, A z. (Plus(x, y, z) -> phi)
 # each scan one candidate.  The candidate is unique, so the decider, the
 # first element whose body's truth is want, is the full scan's.
@@ -868,11 +871,11 @@ def _scan(m, v, elements, body, want, assignment, modal):
 # with a dia or box is evaluated with a modal callback (without one, a
 # dia/box raises WrongEvaluatorError).  Otherwise the range is the whole
 # structure, and the scan meets an error where it did before.  The
-# candidate is evaluated once per scan, before x is assigned, and as
-# lazily as the pin evaluates it; when that raises DomainError, the range
-# is again the whole structure.  Otherwise the body is evaluated at most
-# at the candidate, where the full scan evaluated it too, so the verdict
-# is the full scan's; the membership test keeps it on a structure whose
+# candidate is evaluated once per scan, before x is assigned, as the
+# equation evaluates it; when that raises DomainError, the range is again
+# the whole structure.  Otherwise the body is evaluated at most at the
+# candidate, where the full scan evaluated it too, so the verdict is the
+# full scan's; the membership test keeps it on a structure whose
 # operations leave its domain.  On such a structure alone, a DomainError
 # that the full scan met only at elements that could not decide is no
 # longer met.  Bounded quantifiers keep their scan: iter_below and less
@@ -914,6 +917,7 @@ def _pin(v, body, want):
     stack = [(body, want, frozenset((v,)))]
     while stack:
         g, truth, hidden = stack.pop()
+        g = _equation(g)  # a graph atom pins as the equation it states
         cls = type(g)
         if cls is Not:
             stack.append((g.body, not truth, hidden))
@@ -928,18 +932,5 @@ def _pin(v, body, want):
             for side, t in (g.left, g.right), (g.right, g.left):
                 if side == x and hidden.isdisjoint(_free_vars(t)):
                     return _code(t)
-        elif truth and cls in _GRAPH_OPS and g.c == x:
-            if hidden.isdisjoint(_free_vars(g.a)) and hidden.isdisjoint(_free_vars(g.b)):
-                return partial(_operation, _GRAPH_OPS[cls], _code(g.a), _code(g.b))
     return None
 
-
-_GRAPH_OPS = {PlusAtom: "plus", TimesAtom: "times"}
-
-
-def _operation(op, ta, tb, m, assignment):
-    """The c of Plus(a, b, c) or Times(a, b, c): a and b are both
-    evaluated, as the atom evaluates them, before op."""
-    a = ta(m, assignment)
-    b = tb(m, assignment)
-    return None if a is None or b is None else getattr(m, op)(a, b)

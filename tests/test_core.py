@@ -20,6 +20,7 @@ from finarith.logic import eval_formula, parse_formula, print_formula
 from finarith.modal import (
     SCHEMAS, aristotelian_system, check_schema, check_translation_theorem, fork_system,
 )
+from test_one_point import LeakyTruncation
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,20 @@ class LongStep(SubsetWorld):
     # 1 + 1 = 100 skips every member between 1 and 100.
     def _plus(self, a, b):
         return 100 if (a, b) == (1, 1) else super()._plus(a, b)
+
+
+class SuccessorLeaves(Truncation):
+    # 3 + 1 = 100, outside the domain: the successor of 3 is no element.
+    def _plus(self, a, b):
+        return 100 if (a, b) == (3, 1) else super()._plus(a, b)
+
+
+class CheckedOrderSuccessorLeaves(SuccessorLeaves):
+    # Its order, like every other query, rejects a non-element.
+    def less(self, a, b):
+        if a not in self or b not in self:
+            self._require(a, b)
+        return a < b
 
 
 class CountingTruncation(Truncation):
@@ -311,6 +326,25 @@ class TestAxiomChecks:
         report = check_fa_axioms(NoElement(3), [parse_formula("x = 0 | x = 1")])
         assert report.groups["induction"].mode == "exhaustive"
         assert not report.groups["induction"].passed
+
+    @pytest.mark.parametrize("make, successor, value", [
+        (lambda: SuccessorLeaves(12), ["4 lies strictly between 3 and its successor"], 100),
+        (lambda: CheckedOrderSuccessorLeaves(12), None, 100),
+        (lambda: LeakyTruncation(12), ["successor of the largest element is defined"], 13),
+    ], ids=["successor-leaves", "checked-order", "leaky"])
+    @pytest.mark.parametrize("with_corpus", [False, True])
+    def test_an_operation_that_leaves_the_domain_fails_its_group(
+        self, make, successor, value, with_corpus, induction_corpus,
+    ):
+        left = f"an operation left the domain: {value} is not in the domain"
+        report = check_fa_axioms(make(), induction_corpus if with_corpus else ())
+        assert not report.passed
+        assert report.groups["order"].passed
+        assert report.groups["successor"].failures == (successor or [left])
+        assert report.groups["arithmetic"].failures == [left]
+        induction = report.groups["induction"].failures
+        assert all(f.endswith(f"leaves the domain: {value} is not in the domain") for f in induction)
+        assert bool(induction) == (with_corpus and value == 100)  # only 3 + 1 leaves below the top
 
     def test_subset_world_lacks_only_constant_N(self):
         # The same structure as the truncation at 3, but N does not denote.

@@ -318,6 +318,16 @@ class TestEvalFormula:
         assert eval_formula(m, parse_formula("Plus(1, 1, 1 + 1)"), {})
         assert not eval_formula(m, parse_formula("Times(N, N, N)"), {})
 
+    @pytest.mark.parametrize("atom, equation", [
+        ("Plus(N + 1, x, 0)", "N + 1 = x"),
+        ("Times(N * N, x, 0)", "N * N = x"),
+    ])
+    def test_graph_atom_stops_at_its_first_undefined_term(self, atom, equation):
+        # The unassigned x is never reached: the atom is its equation.
+        m = make_truncation(3)
+        assert eval_formula(m, parse_formula(atom)) is False
+        assert eval_formula(m, parse_formula(equation)) is False
+
     def test_shadowed_variable_restored(self):
         m = make_truncation(3)
         f = parse_formula("E x. (x = 1 & E x. x = 0 & x = 1)")

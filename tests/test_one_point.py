@@ -5,8 +5,9 @@ Each pinned shape is judged by the definitional semantics of
 bench/oracles.py on generated sentences that contain it, for the truth and for
 the witness chain of ``fa eval --trace``; on a structure whose sums leave
 its domain, where the oracle's arithmetic does not apply, by the full scan
-itself.  The paper's sentences are then run on a chain of truncations whose
-top has 3,125 elements.
+itself.  A graph atom pins as the equation it states, and is checked to
+evaluate as that equation.  The paper's sentences are then run on a chain
+of truncations whose top has 3,125 elements.
 """
 from unittest import mock
 
@@ -212,6 +213,27 @@ def test_operations_that_leave_the_domain_keep_the_scan_verdict(case, n):
         assert got == expected or isinstance(expected, type) and not isinstance(got, type)
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([("Plus", "+"), ("Times", "*")]),
+    *[terms(OUTER + ("u",))] * 3,
+    st.one_of(worlds.map(lambda pair: pair[0]), st.integers(1, 9).map(LeakyTruncation)),
+    st.data(),
+)
+def test_a_graph_atom_is_its_equation(op, a, b, c, m, data):
+    # Plus(a, b, c) is a + b = c and Times(a, b, c) is a * b = c: the same
+    # value, or the same error, at every assignment.  u is never assigned,
+    # and a leaky truncation's terms may leave its domain.
+    name, sym = op
+    elements = list(m)
+    assignment = {v: data.draw(st.sampled_from(elements)) for v in OUTER} if elements else {}
+    atom = parse_formula(oracles.show((name, a, b, c)))
+    equation = parse_formula(oracles.show(("=", (sym, a, b), c)))
+    assert outcome(lambda: eval_formula(m, atom, dict(assignment))) == outcome(
+        lambda: eval_formula(m, equation, dict(assignment))
+    )
+
+
 def test_open_and_modal_bodies_meet_their_errors_as_before():
     # Each body raises at x = 0, which cannot decide; the candidate, 1 or
     # undefined, would.
@@ -244,6 +266,11 @@ def test_inner_binders_stop_or_hide_the_pin():
         "A x. !E y. (y < x & Times(a, 1, x))": True,
         "A x. A y. (x = a -> y = y)": True,
         "E x < N. x = 1": False,  # bounded quantifiers keep their scan
+        "E x. Plus(x, a, x)": False,  # a graph atom pins as its equation
+        "E x. Times(a, x, x)": False,
+        "E x. E y. Plus(y, a, x)": False,
+        "E x. E y. Times(a, y, x)": False,
+        "E x. !(Times(a, b, x) -> x = 0)": True,
     }
     for text, pinned in shapes.items():
         f = parse_formula(text)
