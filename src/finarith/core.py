@@ -353,9 +353,12 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     if budget < 0:
         raise ValueError("budget must be at least 0")
     induction_corpus = list(induction_corpus)  # checked, then evaluated: read it once
-    for phi in induction_corpus:
-        if not is_first_order(phi):
-            raise EvalError(f"induction corpus formula is not first-order: {print_formula(phi)}")
+    try:
+        for phi in induction_corpus:
+            if not is_first_order(phi):
+                raise EvalError(f"induction corpus formula is not first-order: {print_formula(phi)}")
+    except RecursionError as exc:
+        raise EvalError("formula is nested too deeply") from exc
     induction_vars = [induction_variable(phi) for phi in induction_corpus]
     rng = random.Random(seed)
     exhaustive = m.size() ** 2 <= budget

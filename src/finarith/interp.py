@@ -2,12 +2,13 @@
 
 ``InterpretedModel`` is the lift M+ of a ground model M.  Its elements are
 fixed-width base-b digit strings over M, where b is the largest ground
-element whose square is defined.  The model holds the digit roster below b
-and two self-filling tables: the carry and digit of a digit sum, and the
-high and low digits of a digit product.  Order is lexical; successor,
-addition, and multiplication run the grade-school algorithms column by
-column and consult the ground model only through those tables, that is,
-only for arithmetic on individual digits (all below b).
+element whose square is defined.  The model holds the digit roster below b,
+walked by b - 1 ground successor steps from 0, and two self-filling tables:
+the carry and digit of a digit sum, and the high and low digits of a digit
+product.  Order is lexical; successor, addition, and multiplication run the
+grade-school algorithms column by column, no carry leaving the top column
+of a product row, and consult the ground model only through those tables,
+that is, only for arithmetic on individual digits (all below b).
 
 Filling a table entry makes these ground operations, on digits below b: a
 digit sum asks for the sum itself, after the successor of the first digit
@@ -89,23 +90,25 @@ class InterpretedModel(PartialStructure):
 
     ``InterpretedModel(ground, base, width)`` takes the ground element b
     and the width k.  Construction walks the digit roster 0, 1, ..., b-1 by
-    ground successor: ``digits`` lists the ground digits, ``index`` maps
-    each back to its position, and ``base_value`` is b, the roster length.
+    b - 1 ground successor steps, and one more must reach b: ``digits``
+    lists the ground digits, ``index`` maps each back to its position, and
+    ``base_value`` is b, the roster length.
 
     The tables are dicts keyed by ints over digit positions:
     ``_adds[(c*b + i)*b + j]`` holds the (carry, digit) of digits[i] +
     digits[j] + c, with c in {0, 1}, and ``_muls[i*b + j]`` the (high, low)
     digits of digits[i] * digits[j].  The operations read them inline and
     call ``_fill_add``/``_fill_mul`` on a miss, so each entry is filled once,
-    by genuine ground operations on digits below b.
+    by genuine ground operations on digits below b.  No carry leaves the
+    top column of a product row.
 
     Construction refuses a base that is not a ground element, or whose value
-    is above _ROSTER_BUDGET, before the walk.  It makes no ground operation
-    beyond the roster walk, so it does not check that b's square exists
-    there.  A base past the square bound builds, and its first digit
-    product whose ground product is undefined raises DomainError;
-    build_plus_model picks the largest base with a square and never meets
-    this.
+    is below 2 or above _ROSTER_BUDGET, before the walk, and a walk whose
+    b-th step does not land on b.  It makes no other ground operation, so it
+    does not check that b's square exists there.  A base past the square
+    bound builds, and its first digit product whose ground product is
+    undefined raises DomainError; build_plus_model picks the largest base
+    with a square and never meets this.
 
     ``zero``, ``one`` and ``largest`` are built on each read: the model
     holds no reference to itself, so reference counting frees it, and with
@@ -119,7 +122,9 @@ class InterpretedModel(PartialStructure):
             raise AdmissibilityError("digit width must be at least 2")
         if base not in ground:
             raise AdmissibilityError("ground model ends before the base")
-        if (bv := ground.valuation(base)) > _ROSTER_BUDGET:
+        if (bv := ground.valuation(base)) < 2:
+            raise AdmissibilityError("digit base must be at least 2")
+        if bv > _ROSTER_BUDGET:
             raise AdmissibilityError(
                 f"digit base {bv} is above the roster budget "
                 f"of {_ROSTER_BUDGET} digits"
@@ -128,15 +133,13 @@ class InterpretedModel(PartialStructure):
         self.base = base
         self.width = width
         digits = [ground.zero]
-        while (nxt := ground.succ(digits[-1])) != base:
-            if nxt is None:
-                raise AdmissibilityError("ground model ends before the base")
+        while len(digits) < bv and (nxt := ground.succ(digits[-1])) is not None:
             digits.append(nxt)
-        if len(digits) < 2:
-            raise AdmissibilityError("digit base must be at least 2")
+        if len(digits) < bv or ground.succ(digits[-1]) != base:
+            raise AdmissibilityError(f"{bv} successor steps from 0 do not reach the base")
         self.digits = digits
         self.index = {d: i for i, d in enumerate(digits)}
-        self.base_value = len(digits)
+        self.base_value = bv
         self._adds = {}
         self._muls = {}
 
@@ -270,8 +273,9 @@ class InterpretedModel(PartialStructure):
                 c1, row[i + 1] = r
                 carry = hi + c1
             row[0] = carry
-            # Shifted addition of the row into the double-width result,
-            # whose lowest column for this row is k + j.
+            # Shifted addition of the row into columns k + j down to j of the
+            # double-width result.  No carry leaves column j: the rows added
+            # so far hold s * t[j:] < b**(2k - j) (Knuth, TAOCP 2, 4.3.1).
             pos = k + j
             c = 0
             for rr in reversed(row):
@@ -281,13 +285,6 @@ class InterpretedModel(PartialStructure):
                     if r is None:
                         r = self._fill_add(d, rr, c)
                     c, res[pos] = r
-                pos -= 1
-            while c:
-                d = res[pos]
-                r = adds.get((bv + d) * bv)
-                if r is None:
-                    r = self._fill_add(d, 0, 1)
-                c, res[pos] = r
                 pos -= 1
         # The true product needs more than k digits: it is above the top.
         return None if any(res[:k]) else DigitString(self, tuple(res[k:]))
@@ -396,55 +393,45 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
     ground_elems = list(m) if m.size() * m.size() <= budget else sample_elements(m, 258, rng)
     images = {x: e(x) for x in ground_elems}
 
-    ok = True
-    for x in ground_elems:
-        for y in ground_elems:
+    def check(name, sweep):  # a lazy sweep of failure messages: keep the first
+        failure = next(sweep, None)
+        checks[name] = failure is None
+        if failure is not None:
+            failures.append(failure)
+
+    def copy_failures():
+        for x, y in itertools.product(ground_elems, repeat=2):
             ex, ey = images[x], images[y]
             if m.less(x, y) != m_plus.less(ex, ey):
-                ok = False
-                failures.append(f"order not preserved at ({x!r}, {y!r})")
-                break
+                yield f"order not preserved at ({x!r}, {y!r})"
             s = m.plus(x, y)
             su = m_plus.plus(ex, ey)
             if s is not None and (su is None or m_plus.valuation(su) != m.valuation(s)):
-                ok = False
-                failures.append(f"plus not preserved at ({x!r}, {y!r})")
-                break
+                yield f"plus not preserved at ({x!r}, {y!r})"
             if s is None and su is not None and m_plus.valuation(su) <= top:
-                ok = False
-                failures.append(f"plus image not faithful at ({x!r}, {y!r})")
-                break
+                yield f"plus image not faithful at ({x!r}, {y!r})"
             p = m.times(x, y)
             pu = m_plus.times(ex, ey)
             if p is not None and (pu is None or m_plus.valuation(pu) != m.valuation(p)):
-                ok = False
-                failures.append(f"times not preserved at ({x!r}, {y!r})")
-                break
-        if not ok:
-            break
-    checks["embedded_copy_isomorphic"] = ok
+                yield f"times not preserved at ({x!r}, {y!r})"
+
+    check("embedded_copy_isomorphic", copy_failures())
 
     # (ii) each lifted element is rebuilt, inside the lifted model, from its
     # digit images and the image of b.
     eb = e(m_plus.base)
     strings = list(m_plus) if m_plus.size() <= 4096 else sample_elements(m_plus, 258, rng)
-    ok = True
-    for s in strings:
-        if _fold_digits(m_plus, map(e, s.digits), eb) != s:
-            ok = False
-            failures.append(f"digit representation does not rebuild {s!r}")
-            break
-    checks["representation_identity"] = ok
+    check("representation_identity", (
+        f"digit representation does not rebuild {s!r}"
+        for s in strings if _fold_digits(m_plus, map(e, s.digits), eb) != s
+    ))
 
     # (iii) round trip: the digits of e(x) recombine to x inside the ground
     # model itself.
-    ok = True
-    for x in ground_elems:
-        if _fold_digits(m, images[x].digits, m_plus.base) != x:
-            ok = False
-            failures.append(f"round trip fails at {x!r}")
-            break
-    checks["round_trip_identity"] = ok
+    check("round_trip_identity", (
+        f"round trip fails at {x!r}"
+        for x in ground_elems if _fold_digits(m, images[x].digits, m_plus.base) != x
+    ))
 
     return BiinterpReport(passed=all(checks.values()), checks=checks, failures=failures)
 
@@ -545,14 +532,17 @@ def check_bounded_induction(tower, corpus):
     rng = random.Random(_INDUCTION_SEED)
     corpus = list(corpus)  # checked, then evaluated: read it once
 
-    for phi in corpus:
-        if not is_delta0(phi):
-            raise EvalError(f"corpus formula is not Delta_0: {print_formula(phi)}")
-    # Closed sentences are checked for absoluteness, the rest for induction.
-    variables = [induction_variable(phi) if free_variables(phi) else None for phi in corpus]
+    try:
+        for phi in corpus:
+            if not is_delta0(phi):
+                raise EvalError(f"corpus formula is not Delta_0: {print_formula(phi)}")
+        # Closed sentences are checked for absoluteness, the rest for induction.
+        variables = [induction_variable(phi) if free_variables(phi) else None for phi in corpus]
+        texts = [print_formula(phi) for phi in corpus]
+    except RecursionError as exc:
+        raise EvalError("formula is nested too deeply") from exc
 
-    for phi, v in zip(corpus, variables):
-        text = print_formula(phi)
+    for phi, v, text in zip(corpus, variables, texts):
         if v is not None:
             for i, stage in enumerate(tower.stages):
                 small = stage.size() <= _INDUCTION_BUDGET

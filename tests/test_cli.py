@@ -10,8 +10,9 @@ import finarith.cli as cli
 import finarith.modal as modal
 from finarith.cli import main
 from finarith.core import make_truncation
+from finarith.corpus import load_packaged_pairs
 from finarith.interp import InstrumentedStructure
-from finarith.logic import parse_formula
+from finarith.logic import parse_formula, print_formula
 from test_modal import counting_code
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -180,6 +181,46 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:") and "roster budget" in err, err
         assert elapsed < 1.0
+
+
+def _library_verdict(system, schema):
+    """The exit code and counterexamples that check_schema gives on the
+    packaged pair corpus."""
+    hits = modal.check_schema(system, modal.schema_by_name(schema),
+                              load_packaged_pairs("schema_instances.fml"))
+    return (1 if hits else 0), [
+        {"world": h.world_id, "phi": print_formula(h.phi),
+         "psi": None if h.psi is None else print_formula(h.psi)}
+        for h in hits
+    ]
+
+
+# The parser builds a chain of sums without recursion; free_variables
+# overflows on it, and cli.main's backstop reports that.
+_LONG_SUM = "0 = " + " + ".join(["1"] * 3000)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["eval", "--trunc", "3", "x = 0"], 2),
+    (["validate", "--subsets", "1", "--schema", "T", "--search"], 2),
+    (["eval", "--subset", "1,x", "0 = 0"], 2),
+    (["eval", "--subset", "empty", "0 = 0"], 0),
+    (["validate", "--subsets", "1", "--schema", "dot3"],
+     lambda: _library_verdict(modal.arbitrary_set_system(1), "dot3")),
+    (["validate", "--fork", "--schema", "dot2"],
+     lambda: _library_verdict(modal.fork_system(), "dot2")),
+    (["eval", "--trunc", "3", _LONG_SUM], 2),
+], ids=["free-variables", "search-not-dot3", "bad-subset", "empty-subset",
+        "packaged-pairs-subsets", "packaged-pairs-fork", "long-sum"])
+def test_exit_code_of_each_remaining_path(argv, expected, capsys):
+    code, out = run(["--format", "json", *argv])
+    err = capsys.readouterr().err
+    if callable(expected):
+        expected, hits = expected()
+        assert json.loads(out)["results"][0]["counterexamples"] == hits
+    assert code == expected
+    if code == 2:
+        assert err.startswith("error:") and "Traceback" not in err, err
 
 
 class TestReportContent:

@@ -16,7 +16,7 @@ from finarith.errors import DomainError, EvalError
 from finarith.interp import (
     InterpretedModel, Tower, build_plus_model, build_tower, check_bounded_induction,
 )
-from finarith.logic import eval_formula, parse_formula, print_formula
+from finarith.logic import Possibly, eval_formula, parse_formula, print_formula
 from finarith.modal import (
     SCHEMAS, aristotelian_system, check_schema, check_translation_theorem, fork_system,
 )
@@ -363,6 +363,13 @@ class TestCorpusErrorsComeFirst:
             check_fa_axioms(m, corpus)
         assert m.queries == 0
 
+    def test_axioms_reject_a_deep_modal_formula_as_an_eval_error(self):
+        phi = parse_formula("0 = 0")
+        for _ in range(3000):
+            phi = Possibly(phi)
+        with pytest.raises(EvalError, match="formula is nested too deeply"):
+            check_fa_axioms(make_truncation(3), [phi])
+
     def test_bounded_induction_rejects_before_any_stage(self):
         stage = CountingTruncation(12)
         corpus = [parse_formula("x + 0 = x"), parse_formula("x + y = y + x")]
@@ -578,6 +585,18 @@ class OddSuccessorSkips(Truncation):
         return super()._plus(a, 2) if b == 1 and a % 2 else super()._plus(a, b)
 
 
+class PlusZeroMoves(Truncation):
+    # 4 + 0 = 5.
+    def _plus(self, a, b):
+        return 5 if (a, b) == (4, 0) else super()._plus(a, b)
+
+
+class TimesZeroMoves(Truncation):
+    # 6 * 0 = 1.
+    def _times(self, a, b):
+        return 1 if (a, b) == (6, 0) else super()._times(a, b)
+
+
 class BentOrder(Truncation):
     """A truncation whose order answers the opposite at the given pairs."""
 
@@ -618,6 +637,9 @@ DIFFERENTIAL_PANEL = (
         ("not-antisymmetric", lambda: BentOrder(12, [(7, 3)]), {}),
         ("not-irreflexive", lambda: BentOrder(12, [(4, 4)]), {}),
         ("top-not-largest", lambda: BentOrder(12, [(11, 12)]), {}),
+        ("zero-not-least", lambda: BentOrder(12, [(0, 5)]), {}),
+        ("plus-zero-moves", lambda: PlusZeroMoves(12), {}),
+        ("times-zero-moves", lambda: TimesZeroMoves(12), {}),
         ("lift4", lambda: build_plus_model(make_truncation(4)), {}),
         ("lift9-width3", lambda: InterpretedModel(make_truncation(9), 3, 3), {}),
         ("sampled-trunc300", lambda: Truncation(300), {"budget": 10**4, "seed": 5}),

@@ -19,7 +19,8 @@ from finarith.interp import (
     build_tower, check_bounded_induction, embed_initial, limit_eval,
     minimal_admissible_width, verify_biinterpretation, verify_induction_lex,
 )
-from finarith.logic import Eq, Not, Var, parse_formula
+from finarith.logic import Const0, Eq, Not, Possibly, Var, parse_formula
+from test_core import LoopingSuccessor
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +197,24 @@ class TestBuildPlusModel:
             InterpretedModel(ground, _ROSTER_BUDGET + 1, 2)
         assert ground.requests == []  # not one successor walked
 
+    def test_a_ground_whose_successor_cycles_is_refused(self):
+        # 1 + 1 = 1, so counting up from 0 never reaches the base 4.  The
+        # roster walk once went on forever; this ground stops it after
+        # 1,000 successors.
+        class StoppingLoop(LoopingSuccessor):
+            calls = 0
+
+            def succ(self, a):
+                self.calls += 1
+                if self.calls > 1000:
+                    raise RuntimeError("the roster walk does not stop")
+                return super().succ(a)
+
+        ground = StoppingLoop(20)
+        with pytest.raises(AdmissibilityError, match="4 successor steps from 0 do not reach the base"):
+            build_plus_model(ground)
+        assert ground.calls == 1 + 4  # largest_square_base's, then b = 4 walk steps
+
     def test_a_base_at_the_roster_budget_builds(self):
         mp = InterpretedModel(make_truncation(_ROSTER_BUDGET), _ROSTER_BUDGET, 2)
         assert mp.base_value == _ROSTER_BUDGET
@@ -286,6 +305,62 @@ class TestBiinterpretation:
         assert not report.passed
         assert not report.checks["embedded_copy_isomorphic"]
         assert report.failures
+
+    @pytest.mark.parametrize("op, at, answer, message", [
+        ("less", (2, 5), lambda mp: False, "order not preserved at (2, 5)"),
+        ("plus", (2, 3), lambda mp: None, "plus not preserved at (2, 3)"),
+        ("plus", (5, 9), lambda mp: mp.zero, "plus image not faithful at (5, 9)"),
+        ("times", (3, 4), lambda mp: None, "times not preserved at (3, 4)"),
+    ])
+    def test_each_embedded_copy_failure_is_named(self, op, at, answer, message):
+        mp = WrongAt(op, at, answer)
+        report = verify_biinterpretation(mp.ground, mp)
+        assert report.failures == [message]
+        assert report.checks == {
+            "embedded_copy_isomorphic": False,
+            "representation_identity": True,
+            "round_trip_identity": True,
+        }
+
+    def test_each_fact_keeps_its_first_failure(self):
+        # The embedding shifts every value from 3 up by one, within the
+        # lift: the copy, the round trip and, through the image of b, the
+        # digit representation all fail, each named once.
+        m = make_truncation(12)
+        mp = build_plus_model(m)
+        honest = embed_initial(m, mp)
+        report = verify_biinterpretation(
+            m, mp, embedding=lambda x: honest(x) if x < 3 else mp.element(x + 1),
+        )
+        assert report.checks == dict.fromkeys(report.checks, False)
+        assert report.failures == [
+            "plus not preserved at (0, 3)",
+            "digit representation does not rebuild <00010 base 3>",
+            "round trip fails at 3",
+        ]
+
+
+class WrongAt(InterpretedModel):
+    """The lift of Truncation(12), b = 3 and k = 5, whose checked less,
+    plus or times gives answer(model) at one pair of values."""
+
+    def __init__(self, op, at, answer):
+        super().__init__(make_truncation(12), 3, 5)
+        self.op, self.at, self.answer = op, at, answer
+
+    def _bent(self, op, a, b, honest):
+        if op == self.op and (self.valuation(a), self.valuation(b)) == self.at:
+            return self.answer(self)
+        return honest(a, b)
+
+    def less(self, a, b):
+        return self._bent("less", a, b, super().less)
+
+    def plus(self, a, b):
+        return self._bent("plus", a, b, super().plus)
+
+    def times(self, a, b):
+        return self._bent("times", a, b, super().times)
 
 
 class TestLexMinimization:
@@ -407,6 +482,15 @@ class TestBoundedInduction:
         tower = build_tower(make_truncation(12), 1)
         with pytest.raises(EvalError):
             check_bounded_induction(tower, [parse_formula("A x. E y. y = x + 1")])
+
+    @pytest.mark.parametrize("prefix", [Not, Possibly])  # closed, not Delta_0
+    def test_a_deep_corpus_formula_is_an_eval_error(self, prefix):
+        phi = Eq(Const0(), Const0())
+        for _ in range(3000):
+            phi = prefix(phi)
+        tower = build_tower(make_truncation(12), 1)
+        with pytest.raises(EvalError, match="formula is nested too deeply"):
+            check_bounded_induction(tower, [phi])
 
 
 class TestPurity:
