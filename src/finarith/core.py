@@ -327,6 +327,20 @@ def induction_fails(m, phi, v, elements):
     return holds(m.succ(m.element(lo)))  # the step at lo, unless succ leaves value order
 
 
+def _first_failures(*sweeps):
+    """The first failure message of each sweep, in order, reading each
+    lazy sweep only up to its first message.  A DomainError raised inside a
+    sweep ends the list with "an operation left the domain: <message>", and
+    no later sweep runs."""
+    fails = []
+    try:
+        for sweep in sweeps:
+            fails.extend(itertools.islice(sweep, 1))
+    except DomainError as exc:
+        fails.append(f"an operation left the domain: {exc}")
+    return fails
+
+
 def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     """Check the FA axiom groups on a structure presented as an FA model.
 
@@ -339,6 +353,12 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     exact.  A sampled failure is genuine; a sampled pass is evidence only,
     wrong when the sample misses every falsifier (see induction_fails).
 
+    Every group but induction states each of its axioms as a lazy sweep of
+    failure messages and reports the first failure of each sweep, through
+    _first_failures: an operation whose value leaves the domain ends its
+    group's report with the DomainError's message.  Induction reports every
+    corpus formula whose instance fails or leaves the domain.
+
     Each question is asked once.  Every swept element's successor is
     computed once, for the successor and arithmetic groups alike, and
     serves as succ(n + m) whenever n + m is a swept element.  The order
@@ -347,8 +367,7 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     the pairs whose first element comes first, and still meets the first
     failing pair of the full sweep.  Each arithmetic pair asks its two
     identities' operations once, and induction_fails evaluates each
-    formula at most once per element.  An operation whose value leaves the
-    domain fails the group that meets it, with the DomainError's message.
+    formula at most once per element.
     """
     if budget < 0:
         raise ValueError("budget must be at least 0")
@@ -363,125 +382,98 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     rng = random.Random(seed)
     exhaustive = m.size() ** 2 <= budget
     mode = "exhaustive" if exhaustive else "sampled"
-    try:
-        top = m.order_max()
-    except DomainError:
-        report = AxiomReport(passed=False, groups={})
-        report.groups["order"] = GroupResult("order", False, mode, ["empty domain"])
-        return report
-
-    if exhaustive:
-        elements = list(m)
-    else:
-        elements = sample_elements(m, 256, rng)
-    less, plus, times, succ = m.less, m.plus, m.times, m.succ
-
-    groups = {}
-
-    # Order: irreflexive, linear and antisymmetric on the swept elements; least
-    # element 0, largest element top; discreteness via successor adjacency.
-    fails = []
-    if m.zero is None:
-        fails.append("constant 0 absent")
-    else:
-        for x in elements:
-            if x != m.zero and not less(m.zero, x):
-                fails.append(f"0 is not below {x!r}")
-                break
-        for x in elements:
-            if x != top and not less(x, top):
-                fails.append(f"top {top!r} is not above {x!r}")
-                break
-    if m.largest is None:
-        fails.append("constant N absent")
-    for x in elements:
-        if less(x, x):
-            fails.append(f"order not irreflexive at {x!r}")
-            break
+    elements = list(m) if exhaustive else sample_elements(m, 256, rng)
+    if not elements:
+        return AxiomReport(False, {"order": GroupResult("order", False, mode, ["empty domain"])})
+    top = m.order_max()
     # Exhaustive sweeps iterate pairs afresh in each group rather than store
     # size**2 tuples; sampled ones share 2000 drawn pairs.
     sampled = None if exhaustive else [(rng.choice(elements), rng.choice(elements)) for _ in range(2000)]
-    # Both pair conditions are symmetric, so the exhaustive sweep skips the
-    # pairs whose first element comes later: each such pair's mirror image
-    # came earlier and failed first.
-    pairs = itertools.combinations_with_replacement(elements, 2) if sampled is None else sampled
-    for a, b in pairs:
-        ab = less(a, b)
-        ba = less(b, a) if a != b else ab
-        if a != b and not ab and not ba:
-            fails.append(f"order not linear on {a!r}, {b!r}")
-            break
-        if ab and ba:
-            fails.append(f"order not antisymmetric on {a!r}, {b!r}")
-            break
-    groups["order"] = GroupResult("order", not fails, mode, fails)
+    less, plus, times, succ = m.less, m.plus, m.times, m.succ
+    zero, one = m.zero, m.one
+    failures = {}
+
+    # Order: irreflexive, linear and antisymmetric on the swept elements; least
+    # element 0, largest element top; discreteness via successor adjacency.
+    def pair_failures():
+        # Both pair conditions are symmetric, so the exhaustive sweep skips the
+        # pairs whose first element comes later: each such pair's mirror image
+        # came earlier and failed first.
+        for a, b in itertools.combinations_with_replacement(elements, 2) if sampled is None else sampled:
+            ab = less(a, b)
+            ba = less(b, a) if a != b else ab
+            if a != b and not ab and not ba:
+                yield f"order not linear on {a!r}, {b!r}"
+            if ab and ba:
+                yield f"order not antisymmetric on {a!r}, {b!r}"
+
+    endpoints = [["constant 0 absent"]] if zero is None else [
+        (f"0 is not below {x!r}" for x in elements if x != zero and not less(zero, x)),
+        (f"top {top!r} is not above {x!r}" for x in elements if x != top and not less(x, top)),
+    ]
+    failures["order"] = _first_failures(
+        *endpoints,
+        ["constant N absent"] if m.largest is None else (),
+        (f"order not irreflexive at {x!r}" for x in elements if less(x, x)),
+        pair_failures(),
+    )
 
     # Successor: defined for every element below top, undefined at top,
     # and the value is the immediate order-successor.
     successor = {a: succ(a) for a in elements}
-    fails = []
-    try:
-        s = successor[top] if top in successor else succ(top)
-        if s is not None:
-            fails.append("successor of the largest element is defined")
+
+    def top_failures():
+        if (successor[top] if top in successor else succ(top)) is not None:
+            yield "successor of the largest element is defined"
+
+    def step_failures():
         for a in elements:
             if a == top:
                 continue
             s = successor[a]
             if s is None:
-                fails.append(f"successor undefined at {a!r} below the top")
-                break
-            if not less(a, s):
-                fails.append(f"successor of {a!r} is not above it")
-                break
-            for b in elements:
-                if less(a, b) and less(b, s):
-                    fails.append(f"{b!r} lies strictly between {a!r} and its successor")
-                    break
-            if fails:
-                break
-    except DomainError as exc:
-        fails.append(f"an operation left the domain: {exc}")
-    groups["successor"] = GroupResult("successor", not fails, mode, fails)
+                yield f"successor undefined at {a!r} below the top"
+            elif not less(a, s):
+                yield f"successor of {a!r} is not above it"
+            else:
+                yield from (f"{b!r} lies strictly between {a!r} and its successor"
+                            for b in elements if less(a, b) and less(b, s))
+
+    failures["successor"] = _first_failures(top_failures(), step_failures())
 
     # Arithmetic: directed recursion identities, Kleene sense ("if the
     # right-hand side is defined, so is the left, with equal value").
-    fails = []
-    zero, one = m.zero, m.one
-    try:
-        if zero is None or one is None:
-            fails.append("constants 0 and 1 must denote in an FA model")
-        else:
-            for a in elements:
-                if plus(a, zero) != a:
-                    fails.append(f"{a!r} + 0 != {a!r}")
-                    break
-                if times(a, zero) != zero:
-                    fails.append(f"{a!r} * 0 != 0")
-                    break
-            for n, mm in itertools.product(elements, repeat=2) if sampled is None else sampled:
-                sm = successor[mm]
-                if sm is None:
-                    continue
-                rhs = plus(n, mm)
-                if rhs is not None:
-                    rhs = successor[rhs] if rhs in successor else succ(rhs)
-                if rhs is not None and plus(n, sm) != rhs:
-                    fails.append(f"{n!r} + ({mm!r}+1) != ({n!r}+{mm!r}) + 1")
-                    break
-                prod = times(n, mm)
-                rhs = None if prod is None else plus(prod, n)
-                if rhs is not None and times(n, sm) != rhs:
-                    fails.append(f"{n!r} * ({mm!r}+1) != {n!r}*{mm!r} + {n!r}")
-                    break
-    except DomainError as exc:
-        fails.append(f"an operation left the domain: {exc}")
-    groups["arithmetic"] = GroupResult("arithmetic", not fails, mode, fails)
+    def zero_failures():
+        for a in elements:
+            if plus(a, zero) != a:
+                yield f"{a!r} + 0 != {a!r}"
+            if times(a, zero) != zero:
+                yield f"{a!r} * 0 != 0"
+
+    def recursion_failures():
+        for n, mm in itertools.product(elements, repeat=2) if sampled is None else sampled:
+            sm = successor[mm]
+            if sm is None:
+                continue
+            rhs = plus(n, mm)
+            if rhs is not None:
+                rhs = successor[rhs] if rhs in successor else succ(rhs)
+            if rhs is not None and plus(n, sm) != rhs:
+                yield f"{n!r} + ({mm!r}+1) != ({n!r}+{mm!r}) + 1"
+            prod = times(n, mm)
+            rhs = None if prod is None else plus(prod, n)
+            if rhs is not None and times(n, sm) != rhs:
+                yield f"{n!r} * ({mm!r}+1) != {n!r}*{mm!r} + {n!r}"
+
+    failures["arithmetic"] = (
+        ["constants 0 and 1 must denote in an FA model"] if zero is None or one is None
+        else _first_failures(zero_failures(), recursion_failures())
+    )
 
     # Induction: each corpus formula's induction instance holds on the swept
     # elements.  The instance's step ranges below N, so without N (reported
     # in the order group) it ranges over nothing and no instance is judged.
-    fails = []
+    failures["induction"] = fails = []
     if m.largest is not None:
         for phi, v in zip(induction_corpus, induction_vars):
             try:
@@ -489,6 +481,6 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
                     fails.append(f"induction instance fails for {print_formula(phi)}")
             except DomainError as exc:
                 fails.append(f"induction instance for {print_formula(phi)} leaves the domain: {exc}")
-    groups["induction"] = GroupResult("induction", not fails, mode, fails)
 
+    groups = {name: GroupResult(name, not fails, mode, fails) for name, fails in failures.items()}
     return AxiomReport(passed=all(g.passed for g in groups.values()), groups=groups)

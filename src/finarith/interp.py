@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass, field
 
 from .core import (
-    PartialStructure, induction_fails, induction_variable, largest_square_base,
-    sample_elements,
+    PartialStructure, _first_failures, induction_fails, induction_variable,
+    largest_square_base, sample_elements,
 )
 from .errors import AdmissibilityError, DomainError, EvalError
 from .logic import (
@@ -381,7 +381,9 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
     (i) the embedded copy of m is an isomorphic substructure, (ii) every
     lifted element is reassembled by its own digit representation over the
     copy of b, (iii) round trips through the digit representation are the
-    identity on ground elements."""
+    identity on ground elements.  Each fact is one lazy sweep of failure
+    messages, reported by core._first_failures: the first message of each,
+    or the message of a DomainError raised inside it."""
     if budget < 0:
         raise ValueError("budget must be at least 0")
     rng = random.Random(seed)
@@ -393,11 +395,10 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
     ground_elems = list(m) if m.size() * m.size() <= budget else sample_elements(m, 258, rng)
     images = {x: e(x) for x in ground_elems}
 
-    def check(name, sweep):  # a lazy sweep of failure messages: keep the first
-        failure = next(sweep, None)
-        checks[name] = failure is None
-        if failure is not None:
-            failures.append(failure)
+    def check(name, sweep):  # a lazy sweep of failure messages
+        failure = _first_failures(sweep)
+        checks[name] = not failure
+        failures.extend(failure)
 
     def copy_failures():
         for x, y in itertools.product(ground_elems, repeat=2):

@@ -531,8 +531,9 @@ def _definitional_fa_report(m, induction_corpus=(), budget=10**6, seed=0):
             if m.less(a, b) and m.less(b, s):
                 fails.append(f"{b!r} lies strictly between {a!r} and its successor")
                 break
-        if fails:
-            break
+        else:
+            continue
+        break
     groups["successor"] = GroupResult("successor", not fails, mode, fails)
 
     fails = []
@@ -597,6 +598,14 @@ class TimesZeroMoves(Truncation):
         return 1 if (a, b) == (6, 0) else super()._times(a, b)
 
 
+class TopWrapsStepGap(Truncation):
+    # N + 1 = 0, and 3 + 1 is undefined below the top.
+    def _plus(self, a, b):
+        if (a, b) == (self.n, 1):
+            return 0
+        return None if (a, b) == (3, 1) else super()._plus(a, b)
+
+
 class BentOrder(Truncation):
     """A truncation whose order answers the opposite at the given pairs."""
 
@@ -632,6 +641,7 @@ DIFFERENTIAL_PANEL = (
         ("looping20", lambda: LoopingSuccessor(20), {}),
         ("top-steps-back", lambda: TopStepsBack(5), {}),
         ("step-gap", lambda: StepGap(6), {}),
+        ("top-wraps-step-gap", lambda: TopWrapsStepGap(8), {}),
         ("wrong-times", lambda: WrongTimes(20), {}),
         ("not-linear", lambda: BentOrder(12, [(2, 5), (5, 2)]), {}),
         ("not-antisymmetric", lambda: BentOrder(12, [(7, 3)]), {}),
@@ -679,6 +689,32 @@ def test_axiom_check_query_count_on_counting_truncation_30(induction_corpus):
     m = CountingTruncation(30)
     assert check_fa_axioms(m, induction_corpus).passed
     assert m.queries == 7013
+
+
+def _counting(m):
+    """m, counting its order and arithmetic queries in m.queries as
+    CountingTruncation does."""
+    m.queries = 0
+    for name in ("less", "_plus", "_times"):
+        def counted(*args, query=getattr(m, name)):
+            m.queries += 1
+            return query(*args)
+        setattr(m, name, counted)
+    return m
+
+
+@pytest.mark.parametrize("make, queries", [
+    (lambda: WrongTimes(20), 2730),
+    (lambda: PlusZeroMoves(12), 1379),
+    (lambda: StepGap(6), 387),
+    (lambda: BentOrder(12, [(7, 3)]), 1459),
+], ids=["wrong-times", "plus-zero-moves", "step-gap", "not-antisymmetric"])
+def test_a_failing_axiom_sweep_stops_at_its_first_failure(make, queries, induction_corpus):
+    # Each sweep asks nothing past its first failure: these counts pin where
+    # the failing sweeps stop (the passing Truncation(20) asks 3,673).
+    m = _counting(make())
+    assert not check_fa_axioms(m, induction_corpus).passed
+    assert m.queries == queries
 
 
 def test_exhaustive_induction_scan_evaluates_once_per_element(monkeypatch, induction_corpus):

@@ -339,6 +339,23 @@ class TestBiinterpretation:
             "round trip fails at 3",
         ]
 
+    def test_an_embedding_into_another_lift_is_reported_not_raised(self):
+        # The images belong to a second lift of the same ground, so the
+        # copy and the representation ask this lift about strings outside
+        # it; their digits are still ground elements, so the round trip holds.
+        m = make_truncation(20)
+        mp, foreign = build_plus_model(m), build_plus_model(m)
+        report = verify_biinterpretation(m, mp, embedding=embed_initial(m, foreign))
+        assert report.checks == {
+            "embedded_copy_isomorphic": False,
+            "representation_identity": False,
+            "round_trip_identity": True,
+        }
+        assert report.failures == [
+            "an operation left the domain: <00000 base 4> is not in the domain",
+            "an operation left the domain: <00010 base 4> is not in the domain",
+        ]
+
 
 class WrongAt(InterpretedModel):
     """The lift of Truncation(12), b = 3 and k = 5, whose checked less,
