@@ -24,8 +24,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import DomainError, EvalError
-from .logic import eval_formula, free_variables, is_first_order, print_formula
+from .errors import DomainError, EvalError, _too_deep
+from .logic import _code, free_variables, is_first_order, print_formula
 
 
 class PartialStructure:
@@ -277,15 +277,13 @@ def sample_elements(m, count, rng):
 
 def induction_variable(phi):
     """The one free variable of an induction formula phi, or EvalError."""
-    try:
-        fv = sorted(free_variables(phi))
-    except RecursionError as exc:
-        raise EvalError("formula is nested too deeply") from exc
+    fv = sorted(free_variables(phi))
     if len(fv) != 1:
         raise EvalError(f"induction formula must have exactly one free variable, got {fv}")
     return fv[0]
 
 
+@_too_deep("formula")
 def induction_fails(m, phi, v, elements):
     """Whether logic.induction_instance(phi, v) fails in m, judged on
     elements: phi(0) holds, phi(a) -> phi(a + 1) holds at every a in
@@ -307,7 +305,7 @@ def induction_fails(m, phi, v, elements):
     def holds(a):
         t = truth.get(a)
         if t is None:
-            t = truth[a] = eval_formula(m, phi, {v: a})
+            t = truth[a] = _code(phi)(m, {v: a}, None)  # as eval_formula, guarded once
         return t
 
     if not holds(m.zero):
@@ -372,12 +370,9 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     if budget < 0:
         raise ValueError("budget must be at least 0")
     induction_corpus = list(induction_corpus)  # checked, then evaluated: read it once
-    try:
-        for phi in induction_corpus:
-            if not is_first_order(phi):
-                raise EvalError(f"induction corpus formula is not first-order: {print_formula(phi)}")
-    except RecursionError as exc:
-        raise EvalError("formula is nested too deeply") from exc
+    for phi in induction_corpus:
+        if not is_first_order(phi):
+            raise EvalError(f"induction corpus formula is not first-order: {print_formula(phi)}")
     induction_vars = [induction_variable(phi) for phi in induction_corpus]
     rng = random.Random(seed)
     exhaustive = m.size() ** 2 <= budget

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for deep input."""
+import functools
 
 
 class FinarithError(Exception):
@@ -23,6 +24,21 @@ class ParseError(FinarithError):
 
 class EvalError(FinarithError):
     """Evaluation failed: unassigned variable, wrong arity, and the like."""
+
+
+def _too_deep(noun):
+    """The one rule for input nested too deeply, as a decorator for the public
+    functions that recurse over a term or formula: a RecursionError inside
+    the call becomes EvalError("<noun> is nested too deeply")."""
+    def guard(fn):
+        @functools.wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except RecursionError as exc:
+                raise EvalError(f"{noun} is nested too deeply") from exc
+        return guarded
+    return guard
 
 
 class WrongEvaluatorError(FinarithError):

@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import DomainError, EvalError, ParseError, WrongEvaluatorError
+from .errors import DomainError, EvalError, ParseError, WrongEvaluatorError, _too_deep
 
 
 # --- Nodes ---
@@ -251,6 +251,7 @@ def _nodes(node):
 
 # --- Structural helpers ---
 
+@_too_deep("formula")
 def free_variables(node):
     """The variables of a term, or the free variables of a formula, as a new
     set.  They are found once per node and kept on it (see _free_vars)."""
@@ -305,6 +306,7 @@ def _fresh(name, taken):
     return f"{name}_{i}"
 
 
+@_too_deep("formula")
 def substitute(node, var, repl):
     """Capture-avoiding substitution of the term repl for the variable var
     in a term or formula."""
@@ -537,6 +539,7 @@ def _parse(text, level):
 
 # --- Printer ---
 
+@_too_deep("term")
 def print_term(t):
     """t as text, with the parentheses the grammar needs."""
     if not isinstance(t, Term):
@@ -544,6 +547,7 @@ def print_term(t):
     return _show(t, 0)
 
 
+@_too_deep("formula")
 def print_formula(f):
     """f as text, with the parentheses the grammar needs."""
     if not isinstance(f, Formula):
@@ -781,15 +785,14 @@ _COMPILERS = {
 }
 
 
+@_too_deep("term")
 def eval_term(m, t, assignment):
     """Strict partial evaluation: defined iff every subterm is defined and
     the structure's graph provides a value."""
-    try:
-        return _code(t)(m, assignment)
-    except RecursionError as exc:
-        raise EvalError("term is nested too deeply") from exc
+    return _code(t)(m, assignment)
 
 
+@_too_deep("formula")
 def eval_formula(m, f, assignment=None):
     """Classical two-valued semantics with the negative convention.
 
@@ -799,12 +802,10 @@ def eval_formula(m, f, assignment=None):
     quantifier with an undefined bound has a vacuous range (A true, E
     false).  Modal nodes are rejected.
     """
-    try:
-        return _code(f)(m, {} if assignment is None else assignment, None)
-    except RecursionError as exc:
-        raise EvalError("formula is nested too deeply") from exc
+    return _code(f)(m, {} if assignment is None else assignment, None)
 
 
+@_too_deep("formula")
 def _decide(m, f, assignment, modal):
     """(truth of the quantifier f, the element that decided it).
 
@@ -814,10 +815,7 @@ def _decide(m, f, assignment, modal):
     none; assignment is restored on return.  Too deep a formula raises
     EvalError, as in eval_formula."""
     want = type(f) is Exists
-    try:
-        found = _scan(m, f.var, _range(f), _code(f.body), want, assignment, modal)
-    except RecursionError as exc:
-        raise EvalError("formula is nested too deeply") from exc
+    found = _scan(m, f.var, _range(f), _code(f.body), want, assignment, modal)
     return (found is not None) == want, found
 
 

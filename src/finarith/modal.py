@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .core import SubsetWorld, Truncation
-from .errors import DomainError, EvalError
+from .errors import DomainError, EvalError, _too_deep
 from .logic import (
     And, Const0, Const1, Defined, Eq, Exists, Forall, Implies, Lt,
     Necessarily, Not, Or, Possibly, _code, _free_vars, _rebuild,
@@ -156,6 +156,7 @@ class PotentialistSystem:
                         f"no world accessible from {self.ids[i]} accommodates {w!r}"
                     )
 
+    @_too_deep("formula")
     def decide(self, world, f, assignment=None):
         """(truth of f at world, deciding world).  For a dia/box f the
         deciding world is the index of the first accessible world where the
@@ -164,16 +165,13 @@ class PotentialistSystem:
         calls share the work."""
         i = self.resolve(world)
         a = dict(assignment) if assignment else {}
-        try:
-            for v in _free_vars(f):
-                if v not in a:
-                    raise EvalError(f"unassigned variable {v!r}")
-            if isinstance(f, (Possibly, Necessarily)):
-                found = self._fill(self._reach[i], f.body, type(f) is Possibly, a)
-                return (found is not None) == (type(f) is Possibly), found
-            return _code(f)(self.worlds[i], a, partial(self._fill, self._reach[i])), None
-        except RecursionError as exc:
-            raise EvalError("formula is nested too deeply") from exc
+        for v in _free_vars(f):
+            if v not in a:
+                raise EvalError(f"unassigned variable {v!r}")
+        if isinstance(f, (Possibly, Necessarily)):
+            found = self._fill(self._reach[i], f.body, type(f) is Possibly, a)
+            return (found is not None) == (type(f) is Possibly), found
+        return _code(f)(self.worlds[i], a, partial(self._fill, self._reach[i])), None
 
     def _fill(self, worlds, f, want, assignment):
         """Evaluate f under assignment at the worlds of the mask worlds that
@@ -336,18 +334,22 @@ def eval_modal(sys, world, f, assignment=None):
 
 # --- potentialist translation ---
 
+@_too_deep("formula")
 def potentialist_translation(f):
     """Replace every unbounded E with dia E and every unbounded A with
     box A.  Bounded quantifiers already have a local range and are left in
     place (their bodies are still translated)."""
-    match f:
-        case Possibly(_) | Necessarily(_):
-            raise EvalError("potentialist translation applies to first-order formulas only")
-        case Forall(_, None, _):
-            return Necessarily(_rebuild(f, potentialist_translation))
-        case Exists(_, None, _):
-            return Possibly(_rebuild(f, potentialist_translation))
-    return _rebuild(f, potentialist_translation)
+    def go(g):
+        match g:
+            case Possibly(_) | Necessarily(_):
+                raise EvalError("potentialist translation applies to first-order formulas only")
+            case Forall(_, None, _):
+                return Necessarily(_rebuild(g, go))
+            case Exists(_, None, _):
+                return Possibly(_rebuild(g, go))
+        return _rebuild(g, go)
+
+    return go(f)
 
 
 @dataclass
@@ -358,6 +360,7 @@ class TranslationReport:
     skipped: list  # formulas containing the constant N (not rigid)
 
 
+@_too_deep("formula")
 def check_translation_theorem(sys, corpus):
     """Compare limit-structure truth of each closed sentence with the truth
     of its potentialist translation at every world, read from its label.
@@ -374,29 +377,26 @@ def check_translation_theorem(sys, corpus):
     results = []
     violations = []
     skipped = []
-    try:  # closedness, printing and translation recurse once per level
-        for psi in corpus:
-            if not is_first_order(psi):
-                raise EvalError(f"corpus sentence is not first-order: {print_formula(psi)}")
-            if free_variables(psi):
-                raise EvalError(f"corpus sentence is not closed: {print_formula(psi)}")
-        for psi in corpus:
-            text = print_formula(psi)
-            if contains_constN(psi):
-                skipped.append(text)
-                continue
-            limit_truth = eval_formula(sys.limit, psi, {})
-            holds = sys._label(potentialist_translation(psi))
-            per_world = {}
-            for i, wid in enumerate(sys.ids):
-                t = per_world[wid] = bool(holds >> i & 1)
-                if t != limit_truth:
-                    violations.append(
-                        f"{text}: limit says {limit_truth}, world {wid} says {t}"
-                    )
-            results.append((text, limit_truth, per_world))
-    except RecursionError as exc:
-        raise EvalError("formula is nested too deeply") from exc
+    for psi in corpus:
+        if not is_first_order(psi):
+            raise EvalError(f"corpus sentence is not first-order: {print_formula(psi)}")
+        if free_variables(psi):
+            raise EvalError(f"corpus sentence is not closed: {print_formula(psi)}")
+    for psi in corpus:
+        text = print_formula(psi)
+        if contains_constN(psi):
+            skipped.append(text)
+            continue
+        limit_truth = eval_formula(sys.limit, psi, {})
+        holds = sys._label(potentialist_translation(psi))
+        per_world = {}
+        for i, wid in enumerate(sys.ids):
+            t = per_world[wid] = bool(holds >> i & 1)
+            if t != limit_truth:
+                violations.append(
+                    f"{text}: limit says {limit_truth}, world {wid} says {t}"
+                )
+        results.append((text, limit_truth, per_world))
     return TranslationReport(
         passed=not violations, results=results, violations=violations, skipped=skipped
     )
@@ -522,21 +522,19 @@ def _counterexamples(sys, schema, instances):
             fails ^= bit
 
 
+@_too_deep("formula")
 def check_schema(sys, schema, instances):
     """Decide each instantiated schema at every world, from the labels of
     its formulas; return all failures.  Instances are (phi, psi) pairs of
     closed formulas; psi is ignored by one-variable schemas."""
     instances = list(instances)  # checked, then evaluated: read it once
-    try:
-        for phi, psi in instances:
-            if psi is None and schema.arity == 2:
-                schema.instantiate(phi, psi)  # raises: the schema needs two formulas
-            for g in (phi, psi):
-                if g is not None and _free_vars(g):
-                    raise EvalError(f"schema instances must be closed: {print_formula(g)}")
-        return list(_counterexamples(sys, schema, instances))
-    except RecursionError as exc:
-        raise EvalError("formula is nested too deeply") from exc
+    for phi, psi in instances:
+        if psi is None and schema.arity == 2:
+            schema.instantiate(phi, psi)  # raises: the schema needs two formulas
+        for g in (phi, psi):
+            if g is not None and _free_vars(g):
+                raise EvalError(f"schema instances must be closed: {print_formula(g)}")
+    return list(_counterexamples(sys, schema, instances))
 
 
 # --- counterexample search ---

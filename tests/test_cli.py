@@ -195,8 +195,8 @@ def _library_verdict(system, schema):
     ]
 
 
-# The parser builds a chain of sums without recursion; free_variables
-# overflows on it, and cli.main's backstop reports that.
+# The parser builds a chain of sums without recursion; the guarded
+# free_variables reports its overflow as an EvalError, not cli.main's backstop.
 _LONG_SUM = "0 = " + " + ".join(["1"] * 3000)
 
 
@@ -210,8 +210,9 @@ _LONG_SUM = "0 = " + " + ".join(["1"] * 3000)
     (["validate", "--fork", "--schema", "dot2"],
      lambda: _library_verdict(modal.fork_system(), "dot2")),
     (["eval", "--trunc", "3", _LONG_SUM], 2),
+    (["translate", _LONG_SUM], 2),
 ], ids=["free-variables", "search-not-dot3", "bad-subset", "empty-subset",
-        "packaged-pairs-subsets", "packaged-pairs-fork", "long-sum"])
+        "packaged-pairs-subsets", "packaged-pairs-fork", "long-sum", "translate-long-sum"])
 def test_exit_code_of_each_remaining_path(argv, expected, capsys):
     code, out = run(["--format", "json", *argv])
     err = capsys.readouterr().err

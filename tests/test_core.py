@@ -719,13 +719,17 @@ def test_a_failing_axiom_sweep_stops_at_its_first_failure(make, queries, inducti
 
 def test_exhaustive_induction_scan_evaluates_once_per_element(monkeypatch, induction_corpus):
     calls = []
-    evaluate = core.eval_formula
+    compile_formula = core._code
 
-    def counting(m, phi, assignment=None):
-        calls.append(assignment)
-        return evaluate(m, phi, assignment)
+    def counting(phi):
+        evaluate = compile_formula(phi)
 
-    monkeypatch.setattr(core, "eval_formula", counting)
+        def count(m, assignment, modal):
+            calls.append(assignment)
+            return evaluate(m, assignment, modal)
+        return count
+
+    monkeypatch.setattr(core, "_code", counting)
     m = make_truncation(30)
     for phi in list(induction_corpus) + [parse_formula(t) for t in EXTRA_INDUCTION]:
         calls.clear()

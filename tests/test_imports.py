@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module and imported
 there once, every name it defines at top level and every method of its
-top-level classes is read somewhere in the source tree, the benchmark's
-entry points into the package resolve, and the benchmark's oracle imports
-nothing of the package."""
+top-level classes is read somewhere in the source tree, RecursionError is
+caught only where the package states its depth rule, the benchmark's entry
+points into the package resolve, and the benchmark's oracle imports nothing
+of the package."""
 import ast
 import importlib.util
 import pathlib
@@ -153,6 +154,37 @@ def test_scan_flags_a_dead_definition():
         ("m.py", 4, "recursive"), ("m.py", 7, "LIMIT"), ("m.py", 9, "value"),
         ("m.py", 18, "_adapter"),
     ]
+
+
+def recursion_catches(source):
+    """(line, top-level definition) for each except clause that names
+    RecursionError, in source order."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                isinstance(n, ast.Name) and n.id == "RecursionError" for n in ast.walk(node.type)
+            ):
+                found.append((node.lineno, getattr(top, "name", "<module>")))
+    return sorted(found)
+
+
+def test_recursion_error_is_caught_in_three_places():
+    # errors._too_deep is the one rule for input nested too deeply; the
+    # parser's catch alone knows the ParseError position, and cli.main's is
+    # the backstop of the exit-code contract.
+    catches = [(p.name, name) for p in MODULES for _, name in recursion_catches(p.read_text())]
+    assert catches == [("cli.py", "main"), ("errors.py", "_too_deep"), ("logic.py", "_parse")]
+
+
+def test_scan_flags_a_recursion_catch():
+    source = (
+        "def f():\n    try:\n        pass\n    except RecursionError:\n        pass\n\n"
+        "class C:\n    def m(self):\n        try:\n            pass\n"
+        "        except (ValueError, RecursionError) as exc:\n            pass\n\n"
+        "try:\n    pass\nexcept KeyError:\n    pass\nexcept RecursionError:\n    pass\n"
+    )
+    assert recursion_catches(source) == [(4, "f"), (11, "C"), (18, "<module>")]
 
 
 def test_benchmark_entry_points_resolve():

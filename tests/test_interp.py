@@ -356,6 +356,20 @@ class TestBiinterpretation:
             "an operation left the domain: <00010 base 4> is not in the domain",
         ]
 
+    def test_an_embedding_that_leaves_the_lift_is_reported_not_raised(self):
+        # The embedding itself fails from 2 up, and on b = 4: each fact that
+        # embeds such an element reports the failure; the round trip stops
+        # earlier, at 1, whose image's digits overflow the ground.
+        m = make_truncation(20)
+        mp = build_plus_model(m)
+        report = verify_biinterpretation(m, mp, embedding=lambda x: mp.element(x * 1000))
+        assert report.checks == dict.fromkeys(report.checks, False)
+        assert report.failures == [
+            "an operation left the domain: value 2000 outside the width-5 base-4 range",
+            "an operation left the domain: value 4000 outside the width-5 base-4 range",
+            "round trip fails at 1",
+        ]
+
 
 class WrongAt(InterpretedModel):
     """The lift of Truncation(12), b = 3 and k = 5, whose checked less,
