@@ -29,14 +29,16 @@ class EvalError(FinarithError):
 def _too_deep(noun):
     """The one rule for input nested too deeply, as a decorator for the public
     functions that recurse over a term or formula: a RecursionError inside
-    the call becomes EvalError("<noun> is nested too deeply")."""
+    the call becomes EvalError("<noun> is nested too deeply").  The noun is
+    a string, or a function that names the call's first argument."""
     def guard(fn):
         @functools.wraps(fn)
         def guarded(*args, **kwargs):
             try:
                 return fn(*args, **kwargs)
             except RecursionError as exc:
-                raise EvalError(f"{noun} is nested too deeply") from exc
+                name = noun if isinstance(noun, str) else noun(args[0])
+                raise EvalError(f"{name} is nested too deeply") from exc
         return guarded
     return guard
 

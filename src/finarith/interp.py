@@ -5,10 +5,10 @@ fixed-width base-b digit strings over M, where b is the largest ground
 element whose square is defined.  The model holds the digit roster below b,
 walked by b - 1 ground successor steps from 0, and two self-filling tables:
 the carry and digit of a digit sum, and the high and low digits of a digit
-product.  Order is lexical; successor, addition, and multiplication run the
-grade-school algorithms column by column, no carry leaving the top column
-of a product row, and consult the ground model only through those tables,
-that is, only for arithmetic on individual digits (all below b).
+product.  Order is lexical; successor and addition run the grade-school
+algorithms column by column, multiplication is Knuth's Algorithm M, and all
+consult the ground model only through those tables, that is, only for
+arithmetic on individual digits (all below b).
 
 Filling a table entry makes these ground operations, on digits below b: a
 digit sum asks for the sum itself, after the successor of the first digit
@@ -100,8 +100,8 @@ class InterpretedModel(PartialStructure):
     digits[j] + c, with c in {0, 1}, and ``_muls[i*b + j]`` the (high, low)
     digits of digits[i] * digits[j].  The operations read them inline and
     call ``_fill_add``/``_fill_mul`` on a miss, so each entry is filled once,
-    by genuine ground operations on digits below b.  No carry leaves the
-    top column of a product row.
+    by genuine ground operations on digits below b.  A product reads only
+    the carry-free add entries: every carry it adds is a digit below b.
 
     Construction refuses a base that is not a ground element, or whose value
     is below 2 or above _ROSTER_BUDGET, before the walk, and a walk whose
@@ -212,9 +212,9 @@ class InterpretedModel(PartialStructure):
 
     # The operations below read the tables inline and fill an entry only on
     # a miss: a function call per read would cost a third to a half of a
-    # warm product.  An add key with carry c into digits i and j
-    # is (c*b + i)*b + j, so with no carry it is i*b + j and with a carry
-    # into j = 0 it is (b + i)*b.
+    # warm product.  An add key with carry c into digits i and j is
+    # (c*b + i)*b + j, so with no carry it is i*b + j, the only kind a
+    # product reads, and with a carry into j = 0 it is (b + i)*b.
 
     def _plus(self, a, b):
         adds, bv = self._adds, self.base_value
@@ -255,38 +255,29 @@ class InterpretedModel(PartialStructure):
             tj = t[j]
             if tj == 0:
                 continue
-            # One schoolbook row: s times the digit tj, with eager carries.
-            row = [0] * (k + 1)
+            # Algorithm M (Knuth, TAOCP 2, 4.3.1): each digit product goes
+            # straight into column i + j + 1: its digit + s[i]*tj + carry
+            # <= b*b - 1, so every carry is a digit below b and a valid table
+            # index.  The rows before wrote only the columns above j.
             carry = 0
             for i in range(k - 1, -1, -1):
-                si = s[i]
-                if si == 0:
-                    row[i + 1] = carry
-                    carry = 0
-                    continue
-                r = muls.get(si * bv + tj)
-                if r is None:
-                    r = self._fill_mul(si, tj)
-                hi, lo = r
-                r = adds.get(lo * bv + carry)
-                if r is None:
-                    r = self._fill_add(lo, carry, 0)
-                c1, row[i + 1] = r
-                carry = hi + c1
-            row[0] = carry
-            # Shifted addition of the row into columns k + j down to j of the
-            # double-width result.  No carry leaves column j: the rows added
-            # so far hold s * t[j:] < b**(2k - j) (Knuth, TAOCP 2, 4.3.1).
-            pos = k + j
-            c = 0
-            for rr in reversed(row):
-                if rr or c:
-                    d = res[pos]
-                    r = adds.get((c * bv + d) * bv + rr)
+                hi = lo = 0
+                if si := s[i]:
+                    r = muls.get(si * bv + tj)
                     if r is None:
-                        r = self._fill_add(d, rr, c)
-                    c, res[pos] = r
-                pos -= 1
+                        r = self._fill_mul(si, tj)
+                    hi, lo = r
+                d = res[i + j + 1]
+                for e in lo, carry:
+                    if e:
+                        r = adds.get(d * bv + e)
+                        if r is None:
+                            r = self._fill_add(d, e, 0)
+                        c, d = r
+                        hi += c
+                res[i + j + 1] = d
+                carry = hi
+            res[j] = carry
         # The true product needs more than k digits: it is above the top.
         return None if any(res[:k]) else DigitString(self, tuple(res[k:]))
 

@@ -232,12 +232,14 @@ def _children(node):
 
 def _rebuild(node, fn):
     """A node of the same class with fn applied to each child; node itself
-    when fn returns every child unchanged."""
-    fields = list(map(node.__getattribute__, node.__match_args__))
-    new = [x if x is None or isinstance(x, str) else fn(x) for x in fields]
-    if all(a is b for a, b in zip(fields, new)):
-        return node
-    return type(node)(*new)
+    when fn returns every child unchanged.  The loop is plain, not a
+    comprehension, so a recursion through fn costs no frame of its own."""
+    new, same = [], True
+    for x in map(node.__getattribute__, node.__match_args__):
+        y = x if x is None or isinstance(x, str) else fn(x)
+        new.append(y)
+        same = same and y is x
+    return node if same else type(node)(*new)
 
 
 def _nodes(node):
@@ -251,7 +253,11 @@ def _nodes(node):
 
 # --- Structural helpers ---
 
-@_too_deep("formula")
+def _noun(node):
+    return "term" if isinstance(node, Term) else "formula"
+
+
+@_too_deep(_noun)
 def free_variables(node):
     """The variables of a term, or the free variables of a formula, as a new
     set.  They are found once per node and kept on it (see _free_vars)."""
@@ -306,7 +312,7 @@ def _fresh(name, taken):
     return f"{name}_{i}"
 
 
-@_too_deep("formula")
+@_too_deep(_noun)
 def substitute(node, var, repl):
     """Capture-avoiding substitution of the term repl for the variable var
     in a term or formula."""

@@ -44,8 +44,10 @@ ENTRY_POINTS = {
     "_decide": ("formula", lambda: _decide(
         make_truncation(3), Forall("x", None, deep_formula("x")), {}, None)),
     "free_variables": ("formula", lambda: free_variables(deep_formula("x"))),
+    "free_variables-term": ("term", lambda: free_variables(deep_term())),
     "print_formula": ("formula", lambda: print_formula(deep_formula())),
     "substitute": ("formula", lambda: substitute(deep_formula("x"), "x", Const0())),
+    "substitute-term": ("term", lambda: substitute(deep_term(), "x", Const0())),
     "induction_instance": ("formula", lambda: induction_instance(deep_formula("x"), "x")),
     "decide": ("formula", lambda: aristotelian_system(3).decide("1", deep_formula())),
     "eval_modal": ("formula", lambda: eval_modal(aristotelian_system(3), "1", deep_formula())),

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import finarith
-from finarith.core import make_truncation
+from finarith.core import largest_square_base, make_truncation
 from finarith.corpus import load_packaged_formulas
 from finarith.errors import AdmissibilityError, DomainError, EvalError
 from finarith.interp import (
@@ -526,8 +526,6 @@ class TestBoundedInduction:
 
 class TestPurity:
     def test_ground_operands_stay_below_base(self):
-        from finarith.core import largest_square_base
-
         raw = make_truncation(100)
         b = largest_square_base(raw)
         instr = InstrumentedStructure(raw)
@@ -565,10 +563,13 @@ def _spread_value(rng, size):
 
 
 def _ground_requests(m, ops=300, seed=5):
-    """Every ground request made while lifting m and then running a seeded
-    batch of plus, times and succ on the lift."""
+    """The base b of a lift of m and the instrumented ground of the lift,
+    which holds every ground request made while lifting m at that base and
+    then running a seeded batch of plus, times and succ on the lift.  The
+    base is chosen on m itself, so the requests are the lift's alone."""
+    b = largest_square_base(m)
     ground = InstrumentedStructure(m)
-    mp = build_plus_model(ground)
+    mp = build_plus_model(ground, base=b)
     size = mp.size()
     rng = random.Random(seed)
 
@@ -579,29 +580,58 @@ def _ground_requests(m, ops=300, seed=5):
             mp.succ(x)
         else:
             getattr(mp, op)(x, y)
-    return ground.requests
+    return b, ground
+
+
+def _count_and_digest(requests):
+    return len(requests), hashlib.sha256(repr(requests).encode()).hexdigest()[:16]
+
+
+def _stage_two():
+    # The ground is itself a lift (b = 15, k = 5), so every table entry of
+    # the new stage (b = 871) is filled by digit arithmetic one stage down.
+    return build_tower(make_truncation(12), 2).stages[2]
+
+
+# (n, count, digest) of the ground requests of a lift of make_truncation(n),
+# then those of a lift of _stage_two() under a batch of 100 operations.
+_RECORDED_SEQUENCES = [
+    (12, 28, "4f4960cf6df45046"),
+    (100, 274, "11b2fbca95532d4c"),
+    (400, 780, "ab753b2039b88572"),
+]
+_RECORDED_OVER_A_LIFT = (1853, "b8ebb621356e9bdd")
 
 
 class TestGroundRequestSequence:
-    """The digit tables ask the ground model the same questions, in the
-    same order, as the dict-memo tables they replaced did when these values
-    were recorded: each entry is filled once, by the same ground operations
-    on digits below b."""
+    """The digit tables ask the ground model a recorded sequence of
+    questions: each entry is filled once, by ground operations on digits
+    below b, which every recorded sequence is checked to keep.  A change
+    meant to alter which entries are filled, or when, re-records the rows
+    with ``PYTHONPATH=src:tests python tests/test_interp.py``."""
 
-    @pytest.mark.parametrize("n,count,digest", [
-        (12, 31, "8fbb79adfe650eaa"),
-        (100, 354, "804c93f936b75308"),
-        (400, 984, "4e439ebb381b5f11"),
-    ])
+    @pytest.mark.parametrize("n,count,digest", _RECORDED_SEQUENCES)
     def test_recorded_sequence(self, n, count, digest):
-        requests = _ground_requests(make_truncation(n))
-        assert len(requests) == count
-        assert hashlib.sha256(repr(requests).encode()).hexdigest()[:16] == digest
+        b, ground = _ground_requests(make_truncation(n))
+        assert _count_and_digest(ground.requests) == (count, digest)
+        assert ground.all_operands_below(b)
 
     def test_recorded_sequence_over_a_lifted_ground(self):
-        # The ground is itself a lift (b = 15, k = 5), so every table entry
-        # of the new stage (b = 871) is filled by digit arithmetic one
-        # stage down.
-        requests = _ground_requests(build_tower(make_truncation(12), 2).stages[2], ops=100)
-        assert len(requests) == 2017
-        assert hashlib.sha256(repr(requests).encode()).hexdigest()[:16] == "309de6f926191008"
+        b, ground = _ground_requests(_stage_two(), ops=100)
+        assert _count_and_digest(ground.requests) == _RECORDED_OVER_A_LIFT
+        assert ground.all_operands_below(b)
+
+    def test_products_read_no_carry_in_entry(self):
+        mp = build_plus_model(make_truncation(100))
+        rng = random.Random(3)
+        size = mp.size()
+        for _ in range(200):
+            mp.times(mp.element(_spread_value(rng, size)), mp.element(_spread_value(rng, size)))
+        b = mp.base_value
+        assert mp._adds and all(key < b * b for key in mp._adds)
+
+
+if __name__ == "__main__":
+    for n, _, _ in _RECORDED_SEQUENCES:
+        print(n, *_count_and_digest(_ground_requests(make_truncation(n))[1].requests))
+    print("stage 2", *_count_and_digest(_ground_requests(_stage_two(), ops=100)[1].requests))

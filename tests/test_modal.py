@@ -248,6 +248,24 @@ class TestEvalModal:
         assert not thread.is_alive()
         assert decided == [(400, True), (3000, EvalError)]
 
+    def test_translation_nesting_depth_floor(self):
+        # Each nested ! costs the translation two Python frames, its go and
+        # logic._rebuild, so 400 fit under the default recursion limit, and
+        # under the evaluator that decides the translated sentence.
+        reports = []
+
+        def check():
+            f = Eq(Const0(), Const0())
+            for _ in range(400):
+                f = Not(f)
+            reports.append(check_translation_theorem(aristotelian_system(3), [f]))
+
+        thread = threading.Thread(target=check)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert [(r.passed, len(r.results), r.violations) for r in reports] == [(True, 1, [])]
+
     def test_very_deep_nesting_is_an_eval_error_in_decide_and_check_schema(self):
         f = Eq(Const0(), Const0())
         for _ in range(3000):
