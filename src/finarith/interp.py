@@ -10,13 +10,12 @@ algorithms column by column, multiplication is Knuth's Algorithm M, and all
 consult the ground model only through those tables, that is, only for
 arithmetic on individual digits (all below b).
 
-Filling a table entry makes these ground operations, on digits below b: a
-digit sum asks for the sum itself, after the successor of the first digit
-when a carry comes in; a digit product asks for the product only to check
-that it is defined.  The rest is bookkeeping on digit positions, in Python
-integers: the digit i + j - b of a sum that leaves the roster, the high and
-low digits divmod(i * j, b) of a product, where i * j is up to (b-1)**2,
-and the table keys, which are below 2*b*b.
+Filling a table entry makes one ground operation, on two digits below b:
+a digit sum asks for the sum itself, and a digit product asks for the
+product only to check that it is defined.  The rest is bookkeeping on digit
+positions, in Python integers: the digit i + j - b of a sum that leaves the
+roster, the high and low digits divmod(i * j, b) of a product, and the table
+keys i*b + j, which are below b*b.
 """
 from __future__ import annotations
 
@@ -96,12 +95,12 @@ class InterpretedModel(PartialStructure):
     ``base_value`` is b, the roster length.
 
     The tables are dicts keyed by ints over digit positions:
-    ``_adds[(c*b + i)*b + j]`` holds the (carry, digit) of digits[i] +
-    digits[j] + c, with c in {0, 1}, and ``_muls[i*b + j]`` the (high, low)
-    digits of digits[i] * digits[j].  The operations read them inline and
-    call ``_fill_add``/``_fill_mul`` on a miss, so each entry is filled once,
-    by genuine ground operations on digits below b.  A product reads only
-    the carry-free add entries: every carry it adds is a digit below b.
+    ``_adds[i*b + j]`` holds the (carry, digit) of digits[i] + digits[j],
+    and ``_muls[i*b + j]`` the (high, low) digits of digits[i] * digits[j].
+    The operations read them inline and call ``_fill_add``/``_fill_mul`` on
+    a miss, so each entry is filled once, by a genuine ground operation on
+    two digits below b.  No entry takes a carry in: a sum or successor adds
+    its carry as the digit 1, and every carry a product adds is a digit.
 
     Construction refuses a base that is not a ground element, or whose value
     is below 2 or above _ROSTER_BUDGET, before the walk, and a walk whose
@@ -156,19 +155,14 @@ class InterpretedModel(PartialStructure):
     def largest(self):
         return DigitString(self, (self.base_value - 1,) * self.width)
 
-    def _fill_add(self, i, j, c):
-        """Store and return the (carry, digit) of digits[i] + digits[j] + c,
-        with c in {0, 1}."""
-        ground, digits, index, b = self.ground, self.digits, self.index, self.base_value
-        key = (c * b + i) * b + j
-        if c and i == b - 1:
-            r = (1, j)  # (b-1) + 1 overflows the digit range: the total is b + j
-        else:
-            if c:
-                i = index[ground.plus(digits[i], ground.one)]
-            s = index.get(ground.plus(digits[i], digits[j]))
-            r = (1, i + j - b) if s is None else (0, s)
-        self._adds[key] = r
+    def _fill_add(self, i, j):
+        """Store and return the (carry, digit) of digits[i] + digits[j]."""
+        b = self.base_value
+        s = self.ground.plus(self.digits[i], self.digits[j])
+        d = self.index.get(s)
+        if s is None or d is None and i + j < b:
+            raise DomainError("digit sum undefined or not a digit below the base")
+        r = self._adds[i * b + j] = (1, i + j - b) if d is None else (0, d)
         return r
 
     def _fill_mul(self, i, j):
@@ -212,9 +206,8 @@ class InterpretedModel(PartialStructure):
 
     # The operations below read the tables inline and fill an entry only on
     # a miss: a function call per read would cost a third to a half of a
-    # warm product.  An add key with carry c into digits i and j is
-    # (c*b + i)*b + j, so with no carry it is i*b + j, the only kind a
-    # product reads, and with a carry into j = 0 it is (b + i)*b.
+    # warm product.  The key of digits i and j is i*b + j in both tables, so
+    # a carry into digit d is the add key d*b + 1.
 
     def _plus(self, a, b):
         adds, bv = self._adds, self.base_value
@@ -223,10 +216,19 @@ class InterpretedModel(PartialStructure):
         c = 0
         for i in range(self.width - 1, -1, -1):
             si, ti = s[i], t[i]
-            r = adds.get((c * bv + si) * bv + ti)
+            r = adds.get(si * bv + ti)
             if r is None:
-                r = self._fill_add(si, ti, c)
-            c, out[i] = r
+                r = self._fill_add(si, ti)
+            if c:
+                c, d = r
+                # The carry in is a second add, d + 1.  If the first add
+                # carried, d is at most b - 2, so this one does not.
+                r = adds.get(d * bv + 1)
+                if r is None:
+                    r = self._fill_add(d, 1)
+                c, out[i] = c | r[0], r[1]
+            else:
+                c, out[i] = r
         # A carry out of the leading column: the sum is above the top.
         return None if c else DigitString(self, tuple(out))
 
@@ -239,9 +241,9 @@ class InterpretedModel(PartialStructure):
         i = self.width - 1
         while c and i >= 0:
             d = out[i]
-            r = adds.get((bv + d) * bv)
+            r = adds.get(d * bv + 1)
             if r is None:
-                r = self._fill_add(d, 0, 1)
+                r = self._fill_add(d, 1)
             c, out[i] = r
             i -= 1
         # A carry out of the leading column: a was the all-(b-1) string.
@@ -272,7 +274,7 @@ class InterpretedModel(PartialStructure):
                     if e:
                         r = adds.get(d * bv + e)
                         if r is None:
-                            r = self._fill_add(d, e, 0)
+                            r = self._fill_add(d, e)
                         c, d = r
                         hi += c
                 res[i + j + 1] = d

@@ -73,16 +73,32 @@ class _Node:
             object.__setattr__(self, "_hash", h)
             return h
 
+    # Structural equality in one frame, from a list of pending pairs: a modal
+    # label lookup compares a deep formula under the labeling's own recursion.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = []
+        a, b = self, other
+        while True:
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if x is not y:
+                    if isinstance(x, _Node) and x.__class__ is y.__class__:
+                        todo += x, y
+                    elif x != y:
+                        return False
+            if not todo:
+                return True
+            b, a = todo.pop(), todo.pop()
+
     def __reduce__(self):
         return type(self), tuple(map(self.__getattribute__, self.__match_args__))
 
 
-def _node(cls):
-    """A frozen, slotted dataclass of cls that keeps _Node's cached hash in
-    place of the recursive one dataclass writes."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = _Node.__hash__
-    return cls
+# A frozen, slotted dataclass that keeps _Node's equality and cached hash in
+# place of the recursive ones dataclass writes.
+_node = dataclass(frozen=True, slots=True, eq=False)
 
 
 # --- Terms ---

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import finarith
-from finarith.core import largest_square_base, make_truncation
+from finarith.core import Truncation, largest_square_base, make_truncation
 from finarith.corpus import load_packaged_formulas
 from finarith.errors import AdmissibilityError, DomainError, EvalError
 from finarith.interp import (
@@ -113,6 +113,19 @@ class TestDigitOperations:
     def test_string_rendering(self, lift100):
         assert lift100.element(345).as_string() == "00345"
         assert lift100.largest.as_string() == "99999"
+
+    @pytest.mark.parametrize("answer", [None, 50])
+    def test_a_digit_sum_the_ground_gets_wrong_is_a_domain_error(self, answer):
+        # 2 + 3 undefined, or 50, past the digits of base 10, was once read
+        # as a carry with digit -5, and the lift returned a non-element.
+        mp = build_plus_model(SumAt(answer))
+        with pytest.raises(DomainError, match="digit sum undefined or not a digit"):
+            mp.plus(mp.element(2), mp.element(3))
+        report = verify_biinterpretation(mp.ground, mp)
+        assert report.checks["embedded_copy_isomorphic"] is False
+        assert report.failures[0] == (
+            "an operation left the domain: digit sum undefined or not a digit below the base"
+        )
 
 
 class TestOracleEquivalence:
@@ -371,6 +384,17 @@ class TestBiinterpretation:
         ]
 
 
+class SumAt(Truncation):
+    """Truncation(100), whose lift has b = 10, with 2 + 3 = answer."""
+
+    def __init__(self, answer):
+        super().__init__(100)
+        self.answer = answer
+
+    def _plus(self, a, b):
+        return self.answer if (a, b) == (2, 3) else super()._plus(a, b)
+
+
 class WrongAt(InterpretedModel):
     """The lift of Truncation(12), b = 3 and k = 5, whose checked less,
     plus or times gives answer(model) at one pair of values."""
@@ -596,19 +620,20 @@ def _stage_two():
 # (n, count, digest) of the ground requests of a lift of make_truncation(n),
 # then those of a lift of _stage_two() under a batch of 100 operations.
 _RECORDED_SEQUENCES = [
-    (12, 28, "4f4960cf6df45046"),
-    (100, 274, "11b2fbca95532d4c"),
-    (400, 780, "ab753b2039b88572"),
+    (12, 16, "2922779bdfe24576"),
+    (100, 190, "80c5b4d3fdb132d7"),
+    (400, 664, "a602cf72dbe5ed68"),
 ]
-_RECORDED_OVER_A_LIFT = (1853, "b8ebb621356e9bdd")
+_RECORDED_OVER_A_LIFT = (1820, "940a65d384979800")
 
 
 class TestGroundRequestSequence:
     """The digit tables ask the ground model a recorded sequence of
-    questions: each entry is filled once, by ground operations on digits
-    below b, which every recorded sequence is checked to keep.  A change
-    meant to alter which entries are filled, or when, re-records the rows
-    with ``PYTHONPATH=src:tests python tests/test_interp.py``."""
+    questions: the roster walk's successors, then one plus or times of two
+    digits as each table entry is first filled.  Every recorded sequence is
+    checked to keep its operands below b.  A change meant to alter which
+    entries are filled, or when, re-records the rows with
+    ``PYTHONPATH=src:tests python tests/test_interp.py``."""
 
     @pytest.mark.parametrize("n,count,digest", _RECORDED_SEQUENCES)
     def test_recorded_sequence(self, n, count, digest):
@@ -621,17 +646,30 @@ class TestGroundRequestSequence:
         assert _count_and_digest(ground.requests) == _RECORDED_OVER_A_LIFT
         assert ground.all_operands_below(b)
 
-    def test_products_read_no_carry_in_entry(self):
+    @pytest.mark.parametrize("op", ["plus", "succ", "times"])
+    def test_each_operation_reads_only_carry_free_add_entries(self, op):
         mp = build_plus_model(make_truncation(100))
         rng = random.Random(3)
         size = mp.size()
         for _ in range(200):
-            mp.times(mp.element(_spread_value(rng, size)), mp.element(_spread_value(rng, size)))
+            x, y = mp.element(_spread_value(rng, size)), mp.element(_spread_value(rng, size))
+            mp.succ(x) if op == "succ" else getattr(mp, op)(x, y)
         b = mp.base_value
         assert mp._adds and all(key < b * b for key in mp._adds)
 
 
 if __name__ == "__main__":
+    # Prints the two recorded values above, ready to paste; each row's comment
+    # says whether its requests keep to digits below b.
+    def row(m, ops=300):
+        b, ground = _ground_requests(m, ops)
+        count, digest = _count_and_digest(ground.requests)
+        return f'{count}, "{digest}"', f"  # all_operands_below(b): {ground.all_operands_below(b)}"
+
+    print("_RECORDED_SEQUENCES = [")
     for n, _, _ in _RECORDED_SEQUENCES:
-        print(n, *_count_and_digest(_ground_requests(make_truncation(n))[1].requests))
-    print("stage 2", *_count_and_digest(_ground_requests(_stage_two(), ops=100)[1].requests))
+        values, check = row(make_truncation(n))
+        print(f"    ({n}, {values}),{check}")
+    print("]")
+    values, check = row(_stage_two(), ops=100)
+    print(f"_RECORDED_OVER_A_LIFT = ({values}){check}")

@@ -542,6 +542,22 @@ class TestNodeHash:
 
         assert not _uses_cached_hash(Plain)
 
+    def test_equality_walks_a_deep_formula_in_one_frame(self):
+        # Far deeper than a recursive comparison reaches under the default
+        # recursion limit.
+        def chain(n, leaf):
+            f = leaf
+            for _ in range(n):
+                f = Not(f)
+            return f
+
+        n = 10_000
+        assert all(cls.__eq__ is _Node.__eq__ for cls in Term.__args__ + Formula.__args__)
+        assert chain(n, Eq(Var("x"), Const0())) == chain(n, Eq(Var("x"), Const0()))
+        assert chain(n, Eq(Var("x"), Const0())) != chain(n, Eq(Var("y"), Const0()))
+        assert chain(n, Eq(Var("x"), Const0())) != chain(n - 1, Eq(Var("x"), Const0()))
+        assert chain(n, Eq(Var("x"), Const0())) != chain(n, Lt(Var("x"), Const0()))
+
 
 class TestCompiledCode:
     def test_evaluated_formulas_leave_nothing_for_the_cycle_collector(self):

@@ -266,6 +266,25 @@ class TestEvalModal:
         assert not thread.is_alive()
         assert [(r.passed, len(r.results), r.violations) for r in reports] == [(True, 1, [])]
 
+    def test_an_equal_deep_sentence_checks_again_on_the_same_system(self):
+        # The second chain is a fresh object equal to the first, so its label
+        # lookups compare the two chains; equality walks them in one frame.
+        reports = []
+
+        def check_twice():
+            system = aristotelian_system(3)
+            for _ in range(2):
+                f = Eq(Const0(), Const0())
+                for _ in range(400):
+                    f = Not(f)
+                reports.append(check_translation_theorem(system, [f]))
+
+        thread = threading.Thread(target=check_twice)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert [(r.passed, len(r.results), r.violations) for r in reports] == [(True, 1, [])] * 2
+
     def test_very_deep_nesting_is_an_eval_error_in_decide_and_check_schema(self):
         f = Eq(Const0(), Const0())
         for _ in range(3000):
