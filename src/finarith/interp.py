@@ -520,7 +520,8 @@ def check_bounded_induction(tower, corpus):
     """Induction instances of bounded formulas at every stage, plus truth
     agreement of closed bounded sentences between consecutive stages.  An
     induction verdict is exact at a stage scanned whole; at a sampled one a
-    failure is genuine and a pass is evidence only (see _INDUCTION_BUDGET)."""
+    failure is genuine and a pass is evidence only (see _INDUCTION_BUDGET).
+    A DomainError ends its formula's check with a failure naming the stage."""
     induction = []
     absoluteness = []
     failures = []
@@ -535,29 +536,32 @@ def check_bounded_induction(tower, corpus):
     texts = [print_formula(phi) for phi in corpus]
 
     for phi, v, text in zip(corpus, variables, texts):
-        if v is not None:
-            for i, stage in enumerate(tower.stages):
-                small = stage.size() <= _INDUCTION_BUDGET
-                elements = list(stage) if small else sample_elements(stage, 50, rng)
-                ok = not induction_fails(stage, phi, v, elements)
-                induction.append((i, text, ok))
-                if not ok:
-                    failures.append(f"induction instance of {text} fails at stage {i}")
-        else:
-            truths = []
-            for i, stage in enumerate(tower.stages):
-                in_range = _outer_bounds_defined(stage, phi)
-                truths.append((i, in_range, eval_formula(stage, phi, {}) if in_range else None))
-            for (i, ri, ti), (j, rj, tj) in zip(truths, truths[1:]):
-                if not (ri and rj):
-                    absoluteness.append((i, text, ti, tj, False, True))
-                    continue
-                ok = ti == tj
-                absoluteness.append((i, text, ti, tj, True, ok))
-                if not ok:
-                    failures.append(
-                        f"{text} changes truth between stages {i} ({ti}) and {j} ({tj})"
-                    )
+        try:
+            if v is not None:
+                for i, stage in enumerate(tower.stages):
+                    small = stage.size() <= _INDUCTION_BUDGET
+                    elements = list(stage) if small else sample_elements(stage, 50, rng)
+                    ok = not induction_fails(stage, phi, v, elements)
+                    induction.append((i, text, ok))
+                    if not ok:
+                        failures.append(f"induction instance of {text} fails at stage {i}")
+            else:
+                truths = []
+                for i, stage in enumerate(tower.stages):
+                    in_range = _outer_bounds_defined(stage, phi)
+                    truths.append((i, in_range, eval_formula(stage, phi, {}) if in_range else None))
+                for (i, ri, ti), (j, rj, tj) in zip(truths, truths[1:]):
+                    if not (ri and rj):
+                        absoluteness.append((i, text, ti, tj, False, True))
+                        continue
+                    ok = ti == tj
+                    absoluteness.append((i, text, ti, tj, True, ok))
+                    if not ok:
+                        failures.append(
+                            f"{text} changes truth between stages {i} ({ti}) and {j} ({tj})"
+                        )
+        except DomainError as exc:
+            failures.append(f"{text} leaves the domain at stage {i}: {exc}")
 
     return BoundedInductionReport(
         passed=not failures,

@@ -10,8 +10,8 @@ explicit definedness atom.  A graph atom states an equation, so Plus(a, b,
 c) holds exactly where a + b = c does, and Times(a, b, c) where a * b = c.
 
 Every term and formula class is a frozen, slotted dataclass built on _Node,
-which keeps a node's structural hash, free variables and compiled closure
-once computed.
+which interns its nodes, so that equal ones are one object, and keeps a
+node's free variables and compiled closure once computed.
 
 The structural helpers, here and in ``modal`` and ``interp``, share one
 traversal: _children lists a node's subterms and subformulas, _rebuild
@@ -42,6 +42,8 @@ elimination, under "Quantifier ranges"); otherwise the whole structure.
 from __future__ import annotations
 
 import re
+import threading
+from _weakref import _remove_dead_weakref, ref
 from dataclasses import dataclass
 from functools import partial
 
@@ -53,52 +55,54 @@ from .errors import DomainError, EvalError, ParseError, WrongEvaluatorError, _to
 class _Node:
     """The base of every term and formula class.
 
-    A node keeps three caches, each filled on first use: its structural
-    hash, so a modal label key holding a formula hashes in O(1) after the
-    formula's first hash; its free variables, once free_variables has
-    found them; and its compiled closure, once it has been evaluated (see
-    "Evaluation" below).  No cache travels through pickle, copy or
-    dataclasses.replace: __reduce__ rebuilds a node from its fields, so a
-    node loaded in another process, where str hashes differ, hashes
-    afresh there, and a copy compiles afresh on its first evaluation.
+    Nodes are interned (hash-consing: Filliâtre & Conchon, ML Workshop
+    2006): constructing a node equal to a live one, by class and fields,
+    returns that node, so equality and hash are the object's own.  Every
+    construction of a node shares its free variables and compiled closure
+    (see "Evaluation" below).  pickle, copy and dataclasses.replace go
+    through __reduce__, so they return the interned node, and a node
+    loaded in another process is interned there afresh.
     """
 
-    __slots__ = ("_hash", "_free", "_code")
+    __slots__ = ("_free", "_code", "__weakref__")
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((type(self), *map(self.__getattribute__, self.__match_args__)))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    # Structural equality in one frame, from a list of pending pairs: a modal
-    # label lookup compares a deep formula under the labeling's own recursion.
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        todo = []
-        a, b = self, other
-        while True:
-            for name in a.__match_args__:
-                x, y = getattr(a, name), getattr(b, name)
-                if x is not y:
-                    if isinstance(x, _Node) and x.__class__ is y.__class__:
-                        todo += x, y
-                    elif x != y:
-                        return False
-            if not todo:
-                return True
-            b, a = todo.pop(), todo.pop()
+    def __new__(cls, *args, **kwargs):
+        key = None if kwargs else (cls, *args)
+        node = key and _live(key)
+        if node is None:
+            with _INTERNING:
+                node = object.__new__(cls)
+                cls._init(node, *args, **kwargs)  # the dataclass __init__, and its errors
+                key = key or (cls, *map(node.__getattribute__, cls.__match_args__))
+                if (held := _live(key)) is not None:
+                    return held
+                _INTERNED[key] = ref(node, lambda _: _remove_dead_weakref(_INTERNED, key))
+        return node
 
     def __reduce__(self):
         return type(self), tuple(map(self.__getattribute__, self.__match_args__))
 
 
-# A frozen, slotted dataclass that keeps _Node's equality and cached hash in
-# place of the recursive ones dataclass writes.
-_node = dataclass(frozen=True, slots=True, eq=False)
+# Every live node, by (class, *fields), through a weak reference whose
+# callback drops the entry while it is dead, as WeakValueDictionary does (its
+# methods run in Python and made a parse twice as slow).  A miss builds and
+# stores under the lock, so two threads building equal nodes get one object.
+_INTERNED = {}
+_INTERNING = threading.Lock()
+
+
+def _live(key):
+    held = _INTERNED.get(key)
+    return held and held()
+
+
+# A frozen, slotted dataclass with the object's own equality and hash, whose
+# __init__ is kept as _init for _Node.__new__ to run on a miss alone.
+def _node(cls):
+    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
+    cls._init = cls.__init__
+    del cls.__init__
+    return cls
 
 
 # --- Terms ---
@@ -250,12 +254,10 @@ def _rebuild(node, fn):
     """A node of the same class with fn applied to each child; node itself
     when fn returns every child unchanged.  The loop is plain, not a
     comprehension, so a recursion through fn costs no frame of its own."""
-    new, same = [], True
+    new = []
     for x in map(node.__getattribute__, node.__match_args__):
-        y = x if x is None or isinstance(x, str) else fn(x)
-        new.append(y)
-        same = same and y is x
-    return node if same else type(node)(*new)
+        new.append(x if x is None or isinstance(x, str) else fn(x))
+    return type(node)(*new)
 
 
 def _nodes(node):

@@ -538,6 +538,17 @@ class TestBoundedInduction:
         with pytest.raises(EvalError):
             check_bounded_induction(tower, [parse_formula("A x. E y. y = x + 1")])
 
+    # The lift of a ground whose 2 + 3 is undefined raises DomainError at
+    # stage 1 on the sum of its digits 2 and 3.
+    @pytest.mark.parametrize("text", [
+        "x + (1 + 1) = (1 + 1) + x", "E y < N. (1 + 1) + (1 + 1 + 1) = y",
+    ], ids=["induction", "absoluteness"])
+    def test_a_domain_error_is_reported_at_its_stage(self, text):
+        report = check_bounded_induction(build_tower(SumAt(None), 1), [parse_formula(text)])
+        assert not report.passed
+        assert len(report.failures) == 1
+        assert "leaves the domain at stage 1: digit sum undefined" in report.failures[0]
+
     @pytest.mark.parametrize("prefix", [Not, Possibly])  # closed, not Delta_0
     def test_a_deep_corpus_formula_is_an_eval_error(self, prefix):
         phi = Eq(Const0(), Const0())

@@ -467,12 +467,8 @@ def _assert_one_key(first, *others):
         assert g == first and hash(g) == hash(first) and table.get(g) == "found", g
 
 
-def _uses_cached_hash(cls):
-    return (
-        issubclass(cls, _Node)
-        and cls.__hash__ is _Node.__hash__
-        and cls.__reduce__ is _Node.__reduce__
-    )
+# The node classes whose fields, apart from a name, are terms.
+_TERM_FIELDS = (*Term.__args__, Eq, Lt, Defined, PlusAtom, TimesAtom)
 
 
 class TestNodeHash:
@@ -493,13 +489,13 @@ class TestNodeHash:
         # loaded node's deep copy and replace copy.
         assert report["nodes"] == [[True, True, "found"]] * 5
 
-    def test_copies_rebuild_the_node(self):
+    def test_copies_are_the_node(self):
         f = parse_formula("E x. x + 1 = y")
         hash(f)
         free_variables(f)
         for g in (copy.copy(f), copy.deepcopy(f), dataclasses.replace(f),
                   pickle.loads(pickle.dumps(f))):
-            assert g == f and g is not f and hash(g) == hash(f)
+            assert g is f and hash(g) == hash(f)
             assert free_variables(g) == {"y"}
 
     def test_equal_nodes_hash_equally_whatever_built_them(self):
@@ -528,19 +524,58 @@ class TestNodeHash:
         assert free_variables(f) == {"y", "z"}
         assert free_variables(f.body) == {"x", "z"}
 
-    def test_every_node_class_uses_the_cached_hash(self):
-        # A node class written with a plain @dataclass(frozen=True) gets the
-        # recursive hash dataclass generates, which rehashes the whole tree
-        # on every memo lookup.
+    def test_every_node_class_interns_its_nodes(self):
+        # Two constructions from equal fields, the names equal but not the
+        # same str, give one object.
+        def build(cls):
+            name = "".join(["x", "s"])
+            child = Var(name) if cls in _TERM_FIELDS else Eq(Var(name), Const0())
+            sample = {"name": name, "var": name, "bound": ConstN()}
+            return cls(*(sample.get(field, child) for field in cls.__match_args__))
+
         classes = Term.__args__ + Formula.__args__
         assert len(classes) == 20
-        assert all(map(_uses_cached_hash, classes))
+        for cls in classes:
+            first = build(cls)
+            assert build(cls) is first, cls
 
-        @dataclasses.dataclass(frozen=True)
-        class Plain(_Node):
-            body: Formula
+    def test_a_reparsed_formula_is_the_live_node(self):
+        for text in _generated_corpus():
+            assert parse_formula(text) is parse_formula(text), text
 
-        assert not _uses_cached_hash(Plain)
+    @pytest.mark.parametrize("construct", [
+        lambda: Sum(Var("x")),
+        lambda: Sum(Var("x"), Const1(), Const1()),
+        lambda: Not(body=Const1(), extra=1),
+        lambda: Sum(left=Var("x")),
+    ], ids=["missing", "extra", "unknown-keyword", "missing-keyword"])
+    def test_constructor_arguments_are_checked(self, construct):
+        with pytest.raises(TypeError):
+            construct()
+
+    def test_threads_parsing_equal_sentences_get_one_node(self):
+        texts = [f"({text}) & v{i} = 0" for i, text in enumerate(_generated_corpus(2000))]
+        assert len(set(texts)) == 2000
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def parse_all(k):
+            barrier.wait()
+            results[k] = [parse_formula(text) for text in texts]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=parse_all, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for other in results[1:]:
+            assert all(f is g for f, g in zip(results[0], other, strict=True))
 
     def test_equality_walks_a_deep_formula_in_one_frame(self):
         # Far deeper than a recursive comparison reaches under the default
@@ -578,12 +613,13 @@ class TestCompiledCode:
         finally:
             gc.enable()
 
-    def test_compiled_code_does_not_travel(self):
+    def test_compiled_code_is_shared_by_every_copy(self):
+        # A closure captures no structure, so one compiled tree serves both.
         f = parse_formula("A x. E y. (x + 1 = y | x = N)")
         structures = [make_truncation(6), make_subset_world({0, 1, 3})]
         truths = [eval_formula(m, f) for m in structures]
         assert truths == [True, False]
         for g in (copy.copy(f), copy.deepcopy(f), dataclasses.replace(f),
-                  pickle.loads(pickle.dumps(f))):
-            assert not hasattr(g, "_code")
+                  pickle.loads(pickle.dumps(f)), parse_formula(print_formula(f))):
+            assert g._code is f._code
             assert [eval_formula(m, g) for m in structures] == truths

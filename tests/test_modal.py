@@ -266,9 +266,26 @@ class TestEvalModal:
         assert not thread.is_alive()
         assert [(r.passed, len(r.results), r.violations) for r in reports] == [(True, 1, [])]
 
+    def test_schema_nesting_depth_floor(self):
+        # Nodes are interned, so a label lookup hashes and compares a deep
+        # instance in O(1); the depth is the evaluator's, as in decide.
+        results = []
+
+        def check():
+            f = Eq(Const0(), Const0())
+            for _ in range(800):
+                f = Possibly(f)
+            results.append(check_schema(aristotelian_system(3), SCHEMAS["T"], [(f, None)]))
+
+        thread = threading.Thread(target=check)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert results == [[]]
+
     def test_an_equal_deep_sentence_checks_again_on_the_same_system(self):
-        # The second chain is a fresh object equal to the first, so its label
-        # lookups compare the two chains; equality walks them in one frame.
+        # The second chain is built afresh from equal fields, so it is the
+        # first chain's interned node and its label lookups are identity hits.
         reports = []
 
         def check_twice():
@@ -463,9 +480,9 @@ class TestSchemas:
         assert calls == []
 
     def test_reparsed_pairs_find_the_memo(self, monkeypatch):
-        # Labels are keyed by formula structure: equal instance pairs,
-        # parsed afresh into distinct nodes, add no label and evaluate
-        # nothing.
+        # Labels are keyed by the interned node: equal instance pairs,
+        # parsed afresh, are the nodes the labels hold, so they add no label
+        # and evaluate nothing.
         system = arbitrary_set_system(2)
         real = modal._code
         calls = []
