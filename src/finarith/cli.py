@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -30,6 +31,7 @@ from .modal import (
 )
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fa",
@@ -308,8 +310,7 @@ def _render_text(report, out):
 
 def main(argv=None, out=None):
     out = sys.stdout if out is None else out
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     params = {
         k: v
         for k, v in vars(args).items()

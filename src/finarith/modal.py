@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from .core import SubsetWorld, Truncation
 from .errors import DomainError, EvalError, _too_deep
@@ -449,42 +449,34 @@ def frame_properties(sys):
 
 @dataclass(frozen=True)
 class ModalSchema:
+    """A modal schema: its name, and build, the function that makes its
+    instance from phi, or from phi and psi.  Its arity, the number of
+    formulas it takes, is the number of build's parameters."""
     name: str
-    arity: int  # number of metavariables used
+    build: object
+
+    @property
+    def arity(self):
+        return self.build.__code__.co_argcount
 
     def instantiate(self, phi, psi=None):
         if self.arity == 2 and psi is None:
             raise EvalError(f"schema {self.name} needs two formulas")
-        match self.name:
-            case "K":
-                return Implies(
-                    Necessarily(Implies(phi, psi)),
-                    Implies(Necessarily(phi), Necessarily(psi)),
-                )
-            case "T":
-                return Implies(Necessarily(phi), phi)
-            case "Four":
-                return Implies(Necessarily(phi), Necessarily(Necessarily(phi)))
-            case "Dot2":
-                return Implies(Possibly(Necessarily(phi)), Necessarily(Possibly(phi)))
-            case "Dot3":
-                return Implies(
-                    And(Possibly(phi), Possibly(psi)),
-                    Or(
-                        Possibly(And(phi, Possibly(psi))),
-                        Possibly(And(psi, Possibly(phi))),
-                    ),
-                )
-        raise EvalError(f"unknown schema {self.name!r}")
+        return self.build(*(phi, psi)[:self.arity])
 
 
-SCHEMAS = {
-    "K": ModalSchema("K", 2),
-    "T": ModalSchema("T", 1),
-    "Four": ModalSchema("Four", 1),
-    "Dot2": ModalSchema("Dot2", 1),
-    "Dot3": ModalSchema("Dot3", 2),
-}
+SCHEMAS = {s.name: s for s in (
+    ModalSchema("K", lambda phi, psi: Implies(
+        Necessarily(Implies(phi, psi)), Implies(Necessarily(phi), Necessarily(psi)),
+    )),
+    ModalSchema("T", lambda phi: Implies(Necessarily(phi), phi)),
+    ModalSchema("Four", lambda phi: Implies(Necessarily(phi), Necessarily(Necessarily(phi)))),
+    ModalSchema("Dot2", lambda phi: Implies(Possibly(Necessarily(phi)), Necessarily(Possibly(phi)))),
+    ModalSchema("Dot3", lambda phi, psi: Implies(
+        And(Possibly(phi), Possibly(psi)),
+        Or(Possibly(And(phi, Possibly(psi))), Possibly(And(psi, Possibly(phi)))),
+    )),
+)}
 
 
 def schema_by_name(name):
@@ -539,8 +531,9 @@ def check_schema(sys, schema, instances):
 
 # --- counterexample search ---
 
+@cache
 def _generated_formulas():
-    """Deterministic closed-formula pool over the constants."""
+    """Deterministic closed-formula pool over the constants, built once."""
     atoms = [
         Defined(Const0()),
         Defined(Const1()),
@@ -554,7 +547,7 @@ def _generated_formulas():
         out.append(And(a, b))
     for a, b in itertools.combinations(level2, 2):
         out.append(Or(a, b))
-    return out
+    return tuple(out)
 
 
 def _diagonal_pairs(pool):

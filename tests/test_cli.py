@@ -62,6 +62,39 @@ def test_repeat_runs_identical(name):
     assert redact(first) == redact(second)
 
 
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    run(GOLDEN_CASES["modal_eval"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second argparse parser was built")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+    code, output = run(GOLDEN_CASES["modal_eval"])
+    assert code == 0
+    assert redact(output) == (GOLDEN_DIR / "modal_eval.json").read_text()
+
+
+# The options only some verbs have, and those verbs.
+VERB_OPTIONS = {
+    "trace": {"eval"},
+    "corpus": {"axioms", "validate", "translation-theorem"},
+    "search": {"validate"},
+    "width": {"lift", "tower"},
+}
+
+
+def test_the_shared_parser_keeps_nothing_between_verbs():
+    # Every golden invocation twice in one process, each next to other verbs
+    # and then in reverse order: no record takes a value left by another.
+    names = sorted(GOLDEN_CASES)
+    for name in names + names[::-1]:
+        _, output = run(GOLDEN_CASES[name])
+        assert redact(output) == (GOLDEN_DIR / f"{name}.json").read_text(), name
+        record = json.loads(output)
+        for key, verbs in VERB_OPTIONS.items():
+            assert key not in record["params"] or record["command"] in verbs, (name, key)
+
+
 class TestExitCodes:
     def test_pass_is_zero(self):
         code, _ = run(["axioms", "--n", "12"])

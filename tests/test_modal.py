@@ -1,4 +1,5 @@
 """Potentialist systems, Kripke evaluation, frames, schemas, translation."""
+import dataclasses
 import gc
 import itertools
 import random
@@ -15,7 +16,8 @@ from finarith.corpus import load_packaged_formulas, load_packaged_pairs
 from finarith.errors import DomainError, EvalError
 from finarith.interp import InstrumentedStructure
 from finarith.logic import (
-    Const0, Eq, Necessarily, Not, Possibly, eval_formula, parse_formula, print_formula,
+    And, Const0, Eq, Implies, Necessarily, Not, Or, Possibly, eval_formula, parse_formula,
+    print_formula,
 )
 from finarith.modal import (
     SCHEMAS, PotentialistSystem, aristotelian_system, arbitrary_set_system, check_schema,
@@ -422,6 +424,38 @@ class TestSchemas:
         with pytest.raises(EvalError):
             schema_by_name("Five")
 
+    def test_arity_is_read_from_build(self):
+        assert [f.name for f in dataclasses.fields(modal.ModalSchema)] == ["name", "build"]
+        assert {name: s.arity for name, s in SCHEMAS.items()} == {
+            "K": 2, "T": 1, "Four": 1, "Dot2": 1, "Dot3": 2,
+        }
+
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
+    def test_an_instance_uses_exactly_its_arity_of_formulas(self, name):
+        # The leaves under the connectives and dia/box of an instance built
+        # from two distinct atoms are the first arity of them.
+        schema = SCHEMAS[name]
+        phi, psi = parse_formula("Def(0)"), parse_formula("Def(1)")
+        leaves = set()
+
+        def walk(g):
+            match g:
+                case Not(body) | Possibly(body) | Necessarily(body):
+                    walk(body)
+                case And(l, r) | Or(l, r) | Implies(l, r):
+                    walk(l)
+                    walk(r)
+                case _:
+                    leaves.add(g)
+
+        walk(schema.instantiate(phi, psi))
+        assert leaves == set((phi, psi)[:schema.arity])
+        if schema.arity == 2:
+            with pytest.raises(EvalError, match=f"^schema {name} needs two formulas$"):
+                schema.instantiate(phi)
+        else:
+            assert schema.instantiate(phi) is schema.instantiate(phi, psi)
+
     def test_dot2_template_shape(self):
         phi = parse_formula("Def(0)")
         inst = SCHEMAS["Dot2"].instantiate(phi)
@@ -515,6 +549,18 @@ class TestDot3Search:
         pool = len(modal._generated_formulas())
         assert pool * (pool - 1) == 20880
         assert search_dot3_counterexample(aristotelian_system(2), generator_budget=10**6) is None
+
+    def test_the_pool_is_built_once(self):
+        assert modal._generated_formulas() is modal._generated_formulas()
+
+    def test_a_later_search_walks_the_shared_pool_to_the_same_witness(self):
+        # The witness of the validate_search golden, on a fresh system after
+        # an earlier search has labeled the shared pool on another system.
+        assert search_dot3_counterexample(aristotelian_system(3), generator_budget=300) is None
+        witness = search_dot3_counterexample(arbitrary_set_system(1))
+        assert (witness.world_id, print_formula(witness.phi), print_formula(witness.psi)) == (
+            "empty", "Def(0) & !Def(1)", "Def(1) & !Def(0)",
+        )
 
     def test_absent_on_single_world(self):
         assert search_dot3_counterexample(aristotelian_system(1), generator_budget=600) is None
