@@ -10,7 +10,6 @@ as input nested too deeply.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -227,7 +226,7 @@ def _cmd_modal_eval(args):
 def _cmd_frame(args):
     sys_, spec = _make_system(args)
     report = frame_properties(sys_)
-    return 0, [{**dataclasses.asdict(report), **spec}]
+    return 0, [{**report._asdict(), **spec}]
 
 
 def _cmd_validate(args):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError, EvalError, _too_deep
 from .logic import _code, free_variables, is_first_order, print_formula
@@ -239,16 +239,14 @@ def largest_square_base(m):
     return b
 
 
-@dataclass
-class GroupResult:
+class GroupResult(NamedTuple):
     name: str
     passed: bool
     mode: str  # "exhaustive" or "sampled"
-    failures: list = field(default_factory=list)
+    failures: list
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     passed: bool
     groups: dict
 
@@ -343,13 +341,20 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
     """Check the FA axiom groups on a structure presented as an FA model.
 
     Groups: (order) discrete linear order with endpoints 0 and top;
-    (successor) defined exactly below the top; (arithmetic) the directed
-    recursion identities for + and * in the Kleene sense; (induction) each
-    corpus formula's induction instance holds, decided by induction_fails
-    on the swept elements.  Sweeps run exhaustively while size**2 <= budget
-    and by seeded sampling above that.  An exhaustive induction verdict is
-    exact.  A sampled failure is genuine; a sampled pass is evidence only,
-    wrong when the sample misses every falsifier (see induction_fails).
+    (successor) defined exactly below the top; (arithmetic) a + 0 = a,
+    a * 0 = 0, and the directed recursion identities a + (m+1) = (a+m) + 1
+    and a * (m+1) = a*m + a as one-sided rules: where the right side is
+    defined, so is the left, with equal value; (induction) each corpus
+    formula's induction instance holds, decided by induction_fails on the
+    swept elements.  The arithmetic rules are weaker than Kleene's two-sided
+    equality (Introduction to Metamathematics, §63), which also asks the
+    left side to be undefined where the right side is, so a structure with
+    a sum or product defined above the top can pass them, as Truncation(12)
+    with 12 * 12 = 12 does (ROADMAP direction 12).  Sweeps run exhaustively
+    while size**2 <= budget and by seeded sampling above that.  An
+    exhaustive induction verdict is exact.  A sampled failure is genuine; a
+    sampled pass is evidence only, wrong when the sample misses every
+    falsifier (see induction_fails).
 
     Every group but induction states each of its axioms as a lazy sweep of
     failure messages and reports the first failure of each sweep, through
@@ -436,8 +441,9 @@ def check_fa_axioms(m, induction_corpus=(), budget=10**6, seed=0):
 
     failures["successor"] = _first_failures(top_failures(), step_failures())
 
-    # Arithmetic: directed recursion identities, Kleene sense ("if the
-    # right-hand side is defined, so is the left, with equal value").
+    # Arithmetic: directed recursion identities as one-sided rules ("if the
+    # right-hand side is defined, so is the left, with equal value"); an
+    # undefined right-hand side leaves the left unchecked.
     def zero_failures():
         for a in elements:
             if plus(a, zero) != a:

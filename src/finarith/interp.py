@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     PartialStructure, _first_failures, induction_fails, induction_variable,
@@ -363,11 +363,10 @@ def embed_initial(m, m_plus):
 
 # --- verification ---
 
-@dataclass
-class BiinterpReport:
+class BiinterpReport(NamedTuple):
     passed: bool
     checks: dict
-    failures: list = field(default_factory=list)
+    failures: list
 
 
 def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
@@ -454,8 +453,7 @@ def verify_induction_lex(m_plus, phi):
 
 # --- towers ---
 
-@dataclass
-class Tower:
+class Tower(NamedTuple):
     """The stages T0, T1, ... built by build_tower, and the numeric value
     of each stage's largest element.  embed_initial preserves values, so
     the copy of a T0 element at stage i is stages[i].element(its value)."""
@@ -476,8 +474,7 @@ def build_tower(m, stage_count, width=5):
     return Tower(stages=stages, heights=heights)
 
 
-@dataclass
-class LimitValue:
+class LimitValue(NamedTuple):
     value: int
     stage: int
     element: object
@@ -500,12 +497,11 @@ def limit_eval(tower, op, x, y):
     )
 
 
-@dataclass
-class BoundedInductionReport:
+class BoundedInductionReport(NamedTuple):
     passed: bool
     induction: list  # (stage, formula-text, ok)
     absoluteness: list  # (stage, formula-text, truth_i, truth_next, in_range, ok)
-    failures: list = field(default_factory=list)
+    failures: list
 
 
 # check_bounded_induction scans a stage of at most this many elements whole,

@@ -9,9 +9,10 @@ convention: an atom with an undefined term is false, with Def(.) as the
 explicit definedness atom.  A graph atom states an equation, so Plus(a, b,
 c) holds exactly where a + b = c does, and Times(a, b, c) where a * b = c.
 
-Every term and formula class is a frozen, slotted dataclass built on _Node,
-which interns its nodes, so that equal ones are one object, and keeps a
-node's free variables and compiled closure once computed.
+Every term and formula class is a plain slotted class built on _Node, which
+names its fields once and interns its nodes, so that equal ones are one
+object, and keeps a node's free variables and compiled closure once
+computed.
 
 The structural helpers, here and in ``modal`` and ``interp``, share one
 traversal: _children lists a node's subterms and subformulas, _rebuild
@@ -39,12 +40,9 @@ quantifier whose body names the only value its variable can take, as in
 E b. b = a + 1 or E c. Plus(a, b, c), that one value (one-point
 elimination, under "Quantifier ranges"); otherwise the whole structure.
 """
-from __future__ import annotations
-
 import re
 import threading
 from _weakref import _remove_dead_weakref, ref
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import DomainError, EvalError, ParseError, WrongEvaluatorError, _too_deep
@@ -55,32 +53,64 @@ from .errors import DomainError, EvalError, ParseError, WrongEvaluatorError, _to
 class _Node:
     """The base of every term and formula class.
 
-    Nodes are interned (hash-consing: Filliâtre & Conchon, ML Workshop
-    2006): constructing a node equal to a live one, by class and fields,
-    returns that node, so equality and hash are the object's own.  Every
-    construction of a node shares its free variables and compiled closure
-    (see "Evaluation" below).  pickle, copy and dataclasses.replace go
-    through __reduce__, so they return the interned node, and a node
-    loaded in another process is interned there afresh.
+    A node class lists its fields once, in order, as both its slots and its
+    __match_args__; nodes are built positionally or by field name, and a
+    field is never assigned again.  Nodes are interned (hash-consing:
+    Filliâtre & Conchon, ML Workshop 2006): constructing a node equal to a
+    live one, by class and fields, returns that node, so equality and hash
+    are the object's own.  Every construction of a node shares its free
+    variables and compiled closure (see "Evaluation" below).  pickle and
+    copy go through __reduce__, so they return the interned node, and a
+    node loaded in another process is interned there afresh.
     """
 
     __slots__ = ("_free", "_code", "__weakref__")
 
     def __new__(cls, *args, **kwargs):
-        key = None if kwargs else (cls, *args)
-        node = key and _live(key)
+        if kwargs:
+            args = _positional(cls, args, kwargs)
+        key = (cls, *args)
+        node = _live(key)
         if node is None:
+            fields = cls.__match_args__
+            if len(args) != len(fields):
+                raise TypeError(f"{cls.__name__}() takes {len(fields)} fields, got {len(args)}")
             with _INTERNING:
+                if (node := _live(key)) is not None:
+                    return node
                 node = object.__new__(cls)
-                cls._init(node, *args, **kwargs)  # the dataclass __init__, and its errors
-                key = key or (cls, *map(node.__getattribute__, cls.__match_args__))
-                if (held := _live(key)) is not None:
-                    return held
+                for field, value in zip(fields, args):
+                    object.__setattr__(node, field, value)
                 _INTERNED[key] = ref(node, lambda _: _remove_dead_weakref(_INTERNED, key))
         return node
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = (f"{field}={getattr(self, field)!r}" for field in self.__match_args__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
     def __reduce__(self):
         return type(self), tuple(map(self.__getattribute__, self.__match_args__))
+
+
+def _positional(cls, args, kwargs):
+    """The fields of cls, in order, from a construction that names some of
+    them; TypeError for a field that is unknown, given twice or missing."""
+    fields = cls.__match_args__
+    rest = fields[len(args):]
+    for name in kwargs:
+        if name not in rest:
+            problem = "repeated" if name in fields else "unknown"
+            raise TypeError(f"{cls.__name__}() got {problem} field {name!r}")
+    for name in rest:
+        if name not in kwargs:
+            raise TypeError(f"{cls.__name__}() is missing field {name!r}")
+    return (*args, *map(kwargs.__getitem__, rest))
 
 
 # Every live node, by (class, *fields), through a weak reference whose
@@ -96,52 +126,34 @@ def _live(key):
     return held and held()
 
 
-# A frozen, slotted dataclass with the object's own equality and hash, whose
-# __init__ is kept as _init for _Node.__new__ to run on a miss alone.
-def _node(cls):
-    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
-    cls._init = cls.__init__
-    del cls.__init__
-    return cls
-
-
 # --- Terms ---
 
-@_node
 class Var(_Node):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@_node
 class Const0(_Node):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@_node
 class Const1(_Node):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@_node
 class ConstN(_Node):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@_node
 class Succ(_Node):
-    arg: "Term"
+    __slots__ = __match_args__ = ("arg",)
 
 
-@_node
 class Sum(_Node):
-    left: "Term"
-    right: "Term"
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Prod(_Node):
-    left: "Term"
-    right: "Term"
+    __slots__ = __match_args__ = ("left", "right")
 
 
 Term = Var | Const0 | Const1 | ConstN | Succ | Sum | Prod
@@ -149,82 +161,56 @@ Term = Var | Const0 | Const1 | ConstN | Succ | Sum | Prod
 
 # --- Formulas ---
 
-@_node
 class Eq(_Node):
-    left: Term
-    right: Term
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Lt(_Node):
-    left: Term
-    right: Term
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Defined(_Node):
-    arg: Term
+    __slots__ = __match_args__ = ("arg",)
 
 
-@_node
 class PlusAtom(_Node):
-    a: Term
-    b: Term
-    c: Term
+    __slots__ = __match_args__ = ("a", "b", "c")
 
 
-@_node
 class TimesAtom(_Node):
-    a: Term
-    b: Term
-    c: Term
+    __slots__ = __match_args__ = ("a", "b", "c")
 
 
-@_node
 class Not(_Node):
-    body: "Formula"
+    __slots__ = __match_args__ = ("body",)
 
 
-@_node
 class And(_Node):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Forall(_Node):
-    var: str
-    bound: Term | None
-    body: "Formula"
+    __slots__ = __match_args__ = ("var", "bound", "body")
 
 
-@_node
 class Exists(_Node):
-    var: str
-    bound: Term | None
-    body: "Formula"
+    __slots__ = __match_args__ = ("var", "bound", "body")
 
 
-@_node
 class Possibly(_Node):
-    body: "Formula"
+    __slots__ = __match_args__ = ("body",)
 
 
-@_node
 class Necessarily(_Node):
-    body: "Formula"
+    __slots__ = __match_args__ = ("body",)
 
 
 Formula = (

@@ -25,8 +25,8 @@ from the access masks and their converses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, partial
+from typing import NamedTuple
 
 from .core import SubsetWorld, Truncation
 from .errors import DomainError, EvalError, _too_deep
@@ -352,8 +352,7 @@ def potentialist_translation(f):
     return go(f)
 
 
-@dataclass
-class TranslationReport:
+class TranslationReport(NamedTuple):
     passed: bool
     results: list  # (formula text, limit truth, {world id: modal truth})
     violations: list
@@ -404,8 +403,7 @@ def check_translation_theorem(sys, corpus):
 
 # --- frame classification ---
 
-@dataclass
-class FrameReport:
+class FrameReport(NamedTuple):
     reflexive: bool
     transitive: bool
     directed: bool
@@ -447,8 +445,7 @@ def frame_properties(sys):
 
 # --- schemas ---
 
-@dataclass(frozen=True)
-class ModalSchema:
+class ModalSchema(NamedTuple):
     """A modal schema: its name, and build, the function that makes its
     instance from phi, or from phi and psi.  Its arity, the number of
     formulas it takes, is the number of build's parameters."""
@@ -486,8 +483,7 @@ def schema_by_name(name):
     return SCHEMAS[key]
 
 
-@dataclass
-class SchemaCounterexample:
+class SchemaCounterexample(NamedTuple):
     world_id: str
     phi: object
     psi: object

@@ -1,9 +1,11 @@
 """Every name a package module imports is used in that module and imported
-there once, every name it defines at top level and every method of its
-top-level classes is read somewhere in the source tree, RecursionError is
-caught only where the package states its depth rule, the benchmark's entry
-points into the package resolve, and the benchmark's oracle imports nothing
-of the package."""
+there once, and no package module imports dataclasses.  Every name a
+package module defines at top level and every method of its top-level
+classes is read somewhere in the source tree, and no module or class body
+under src/ or tests/ binds a name twice.  RecursionError is caught only
+where the package states its depth rule, the benchmark's entry points into
+the package resolve, and the benchmark's oracle imports nothing of the
+package."""
 import ast
 import importlib.util
 import pathlib
@@ -71,6 +73,62 @@ def test_scan_flags_a_repeated_import():
         "def g():\n    from os.path import sep\n    return sep\n"
     )
     assert repeated_imports(source) == [(5, "sep"), (10, "sep")]
+
+
+def _bindings(body):
+    """(line, name) for each def, class and plain assignment in one body."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield node.lineno, target.id
+
+
+def repeated_definitions(source):
+    """(line, name) for each name bound again at the top level of a module
+    or in one class body, where the later binding hides the earlier one; a
+    test defined twice, for one, is collected once."""
+    tree = ast.parse(source)
+    bodies = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    repeats = []
+    for body in bodies:
+        seen = set()
+        for line, name in _bindings(body):
+            if name in seen:
+                repeats.append((line, name))
+            seen.add(name)
+    return sorted(repeats)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SEARCHED if not p.is_relative_to(ROOT / "bench")],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_no_repeated_definitions(path):
+    assert repeated_definitions(path.read_text()) == []
+
+
+def test_scan_flags_a_repeated_definition():
+    source = (
+        "LIMIT = 1\n\n"
+        "def f():\n    g = 1\n    g = 2\n    return g\n\n"
+        "class C:\n"
+        "    def f(self):\n        return 1\n\n"
+        "    def f(self):\n        return 2\n\n"
+        "class f:\n    pass\n\n"
+        "LIMIT = 2\n"
+    )
+    assert repeated_definitions(source) == [(12, "f"), (15, "f"), (18, "LIMIT")]
+
+
+def test_no_module_imports_dataclasses():
+    # Nodes and reports name their fields themselves: interned slotted
+    # classes in logic, NamedTuples elsewhere.
+    for path in PACKAGE.glob("*.py"):
+        assert "dataclasses" not in imported_modules(path.read_text()), path.name
 
 
 def _definitions(tree):

@@ -1,6 +1,5 @@
 """Parser, printer, and first-order evaluation of the formula language."""
 import copy
-import dataclasses
 import gc
 import inspect
 import json
@@ -422,10 +421,10 @@ class TestSubstitutionAndInduction:
 # another; both run in fresh interpreters.  _DUMP hashes every node before
 # pickling it, so a hash cached on a node would travel with it.
 _DUMP = """
-import copy, dataclasses, pickle, sys
+import copy, pickle, sys
 from finarith.logic import _nodes, free_variables, parse_formula
 f = parse_formula(sys.argv[1])
-nodes = [f, copy.deepcopy(f), dataclasses.replace(f)]
+nodes = [f, copy.deepcopy(f)]
 for g in nodes:
     for sub in _nodes(g):
         hash(sub)
@@ -434,10 +433,10 @@ sys.stdout.buffer.write(pickle.dumps((hash(f), nodes)))
 """
 
 _LOAD = """
-import copy, dataclasses, json, pickle, sys
+import copy, json, pickle, sys
 from finarith.logic import parse_formula
 dumped_hash, nodes = pickle.loads(sys.stdin.buffer.read())
-nodes += [copy.deepcopy(nodes[0]), dataclasses.replace(nodes[0])]
+nodes += [copy.deepcopy(nodes[0])]
 fresh = parse_formula(sys.argv[1])
 table = {fresh: "found"}
 print(json.dumps({
@@ -485,16 +484,14 @@ class TestNodeHash:
 
         report = json.loads(run(_LOAD, 2, run(_DUMP, 1)))
         assert report["dumped_hash"] != report["fresh_hash"]  # the seeds differ
-        # The pickled node, its deep copy and its replace copy, then the
-        # loaded node's deep copy and replace copy.
-        assert report["nodes"] == [[True, True, "found"]] * 5
+        # The pickled node and its deep copy, then the loaded node's deep copy.
+        assert report["nodes"] == [[True, True, "found"]] * 3
 
     def test_copies_are_the_node(self):
         f = parse_formula("E x. x + 1 = y")
         hash(f)
         free_variables(f)
-        for g in (copy.copy(f), copy.deepcopy(f), dataclasses.replace(f),
-                  pickle.loads(pickle.dumps(f))):
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert g is f and hash(g) == hash(f)
             assert free_variables(g) == {"y"}
 
@@ -548,10 +545,34 @@ class TestNodeHash:
         lambda: Sum(Var("x"), Const1(), Const1()),
         lambda: Not(body=Const1(), extra=1),
         lambda: Sum(left=Var("x")),
-    ], ids=["missing", "extra", "unknown-keyword", "missing-keyword"])
+        lambda: Sum(Var("x"), left=Var("y")),
+    ], ids=["missing", "extra", "unknown-keyword", "missing-keyword", "repeated-field"])
     def test_constructor_arguments_are_checked(self, construct):
         with pytest.raises(TypeError):
             construct()
+
+    def test_a_construction_by_field_name_is_the_node(self):
+        a, b = Var("x"), Const1()
+        assert Sum(left=a, right=b) is Sum(a, b)
+        assert Sum(a, right=b) is Sum(a, b)
+
+    def test_fields_are_never_assigned_again(self):
+        f = parse_formula("A x < N. x + 1 = y")
+        for name in f.__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(f, name, None)
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        assert print_formula(f) == "A x < N. x + 1 = y"
+
+    def test_repr_names_every_field(self):
+        assert repr(parse_formula("E x < N. x + 1 = y")) == (
+            "Exists(var='x', bound=ConstN(), body=Eq(left=Sum(left=Var(name='x'), "
+            "right=Const1()), right=Var(name='y')))"
+        )
+        assert repr(Forall("x", None, Defined(Const0()))) == (
+            "Forall(var='x', bound=None, body=Defined(arg=Const0()))"
+        )
 
     def test_threads_parsing_equal_sentences_get_one_node(self):
         texts = [f"({text}) & v{i} = 0" for i, text in enumerate(_generated_corpus(2000))]
@@ -619,7 +640,7 @@ class TestCompiledCode:
         structures = [make_truncation(6), make_subset_world({0, 1, 3})]
         truths = [eval_formula(m, f) for m in structures]
         assert truths == [True, False]
-        for g in (copy.copy(f), copy.deepcopy(f), dataclasses.replace(f),
-                  pickle.loads(pickle.dumps(f)), parse_formula(print_formula(f))):
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f)),
+                  parse_formula(print_formula(f))):
             assert g._code is f._code
             assert [eval_formula(m, g) for m in structures] == truths
