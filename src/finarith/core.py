@@ -4,18 +4,11 @@ The canonical structures are the substructures of the standard model
 induced on finite sets of naturals (``SubsetWorld``); a truncation, the
 paper's model {0, ..., n} of finite arithmetic, is the initial-segment case
 (``Truncation``).  Their elements are plain Python ints (exact, unbounded).
-Partial addition and multiplication return None when undefined; querying an
-argument outside the domain raises DomainError instead.  The one exception
-is ``SubsetWorld.less``, the numeric order, which compares its arguments
+Every query checks its operands (see ``PartialStructure``) except
+``SubsetWorld.less``, the numeric order, which compares its arguments
 unchecked: the evaluators hand it only elements, and a membership test on
 every comparison cut the throughput of the benchmark's first_order
 workload by about a fifth (CPython 3.11).
-
-``PartialStructure`` is the interface only.  Each concrete structure
-checks its operands inline, in the method the evaluator calls, and then
-calls the raw partial operations ``_plus``/``_times``, the hooks a subclass
-overrides to change the arithmetic: a ground operation is two Python calls,
-not the four that a generic ``x in self`` per operand costs.
 """
 from __future__ import annotations
 
@@ -31,56 +24,32 @@ from .logic import _code, free_variables, is_first_order, print_formula
 class PartialStructure:
     """A finite universe with numeric-style order and partial + and *.
 
-    This is the interface the evaluators and checks read.  A concrete
-    structure provides ascending iteration, membership, size, the order,
-    the checked operations ``plus``/``times``/``succ`` and ``iter_below``,
-    and the oracle plumbing ``valuation``/``element``.  Its checked
-    operations test membership inline, raise through ``_require`` only when
-    an operand is outside the domain, and then call the raw partial
-    operations ``_plus``/``_times``: those two are the hooks a subclass
-    overrides to change the arithmetic.  ``zero``/``one`` are None when the
+    This is the protocol the evaluators and checks read; each concrete
+    structure provides all of it:
+    - ``__iter__`` (ascending), ``__contains__``, ``size()`` and the order
+      ``less(a, b)``;
+    - ``plus(a, b)``/``times(a, b)``: the result, None when undefined;
+      DomainError for a non-element;
+    - ``succ(a)``: a + 1, undefined when 1 is absent or the sum leaves the
+      domain;
+    - ``iter_below(x)``: the elements strictly below x, ascending;
+      DomainError, before anything is yielded, when x is outside the domain;
+    - ``_plus``/``_times``: the raw partial operations, the hooks a
+      subclass overrides to change the arithmetic;
+    - ``valuation(x)``/``element(value)``: oracle plumbing, the numeric
+      value of an element and back, used by tests, reports and parameter
+      computations, never by the in-model algorithms.
+
+    The checked operations test membership inline, in the method the
+    evaluator calls, raise through ``_require`` only when an operand is
+    outside the domain, and then call ``_plus``/``_times``: a ground
+    operation is two Python calls, not the four that a generic ``x in
+    self`` per operand costs.  ``zero``/``one`` are None when the
     corresponding constant is absent from the domain; ``largest`` is None
     unless the structure is an FA model.
     """
 
-    zero = None
-    one = None
-    largest = None
-
-    def __iter__(self):
-        raise NotImplementedError
-
-    def __contains__(self, x):
-        raise NotImplementedError
-
-    def size(self):
-        raise NotImplementedError
-
-    def less(self, a, b):
-        raise NotImplementedError
-
-    def plus(self, a, b):
-        """a + b, None when undefined; DomainError for a non-element."""
-        raise NotImplementedError
-
-    def times(self, a, b):
-        """a * b, None when undefined; DomainError for a non-element."""
-        raise NotImplementedError
-
-    def succ(self, a):
-        """a + 1, undefined when 1 is absent or the sum leaves the domain."""
-        raise NotImplementedError
-
-    def iter_below(self, x):
-        """Domain elements strictly below x, ascending; DomainError, before
-        anything is yielded, when x is outside the domain."""
-        raise NotImplementedError
-
-    def _plus(self, a, b):
-        raise NotImplementedError
-
-    def _times(self, a, b):
-        raise NotImplementedError
+    zero = one = largest = None
 
     def _require(self, *xs):
         """Raise DomainError naming the first of xs outside the domain.
@@ -99,14 +68,6 @@ class PartialStructure:
         if top is None:
             raise DomainError("empty structure has no largest element")
         return top
-
-    # Oracle plumbing: numeric value of an element and back.  Used by tests,
-    # reports, and parameter computations, never by the in-model algorithms.
-    def valuation(self, x):
-        raise NotImplementedError
-
-    def element(self, value):
-        raise NotImplementedError
 
 
 class SubsetWorld(PartialStructure):

@@ -371,12 +371,14 @@ class BiinterpReport(NamedTuple):
 
 def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
     """Desk-scale evidence for the bi-interpretation of m with its lift:
-    (i) the embedded copy of m is an isomorphic substructure, (ii) every
-    lifted element is reassembled by its own digit representation over the
-    copy of b, (iii) round trips through the digit representation are the
-    identity on ground elements.  Each fact is one lazy sweep of failure
-    messages, reported by core._first_failures: the first message of each,
-    or the message of a DomainError raised inside it."""
+    (i) the embedded copy of m is an isomorphic substructure: each defined
+    sum and product is preserved, and one undefined in m has no image within
+    the copy, (ii) every lifted element is reassembled by its own digit
+    representation over the copy of b, (iii) round trips through the digit
+    representation are the identity on ground elements.  Each fact is one
+    lazy sweep of failure messages, reported by core._first_failures: the
+    first message of each, or the message of a DomainError raised inside
+    it."""
     if budget < 0:
         raise ValueError("budget must be at least 0")
     rng = random.Random(seed)
@@ -395,20 +397,17 @@ def verify_biinterpretation(m, m_plus, budget=10**6, seed=0, embedding=None):
 
     def copy_failures():
         images = {x: image(x) for x in ground_elems}
+        ops = (("plus", m.plus, m_plus.plus), ("times", m.times, m_plus.times))
         for x, y in itertools.product(ground_elems, repeat=2):
             ex, ey = images[x], images[y]
             if m.less(x, y) != m_plus.less(ex, ey):
                 yield f"order not preserved at ({x!r}, {y!r})"
-            s = m.plus(x, y)
-            su = m_plus.plus(ex, ey)
-            if s is not None and (su is None or m_plus.valuation(su) != m.valuation(s)):
-                yield f"plus not preserved at ({x!r}, {y!r})"
-            if s is None and su is not None and m_plus.valuation(su) <= top:
-                yield f"plus image not faithful at ({x!r}, {y!r})"
-            p = m.times(x, y)
-            pu = m_plus.times(ex, ey)
-            if p is not None and (pu is None or m_plus.valuation(pu) != m.valuation(p)):
-                yield f"times not preserved at ({x!r}, {y!r})"
+            for name, op, op_plus in ops:
+                r, ru = op(x, y), op_plus(ex, ey)
+                if r is not None and (ru is None or m_plus.valuation(ru) != m.valuation(r)):
+                    yield f"{name} not preserved at ({x!r}, {y!r})"
+                if r is None and ru is not None and m_plus.valuation(ru) <= top:
+                    yield f"{name} image not faithful at ({x!r}, {y!r})"
 
     check("embedded_copy_isomorphic", copy_failures())
 
@@ -517,6 +516,10 @@ def check_bounded_induction(tower, corpus):
     agreement of closed bounded sentences between consecutive stages.  An
     induction verdict is exact at a stage scanned whole; at a sampled one a
     failure is genuine and a pass is evidence only (see _INDUCTION_BUDGET).
+    N names each stage's own top, so a sentence whose bound is N can change
+    truth from stage to stage, and is reported when it does.  A pair of
+    stages where a closed quantifier bound is undefined in either is out of
+    range: its row holds None as that stage's truth, and it is not judged.
     A DomainError ends its formula's check with a failure naming the stage."""
     induction = []
     absoluteness = []

@@ -364,7 +364,10 @@ def check_translation_theorem(sys, corpus):
     """Compare limit-structure truth of each closed sentence with the truth
     of its potentialist translation at every world, read from its label.
     Requires a convergent system; sentences mentioning N are skipped (N is
-    read de dicto per world, so it is not a rigid designator)."""
+    read de dicto per world, so it is not a rigid designator).  The
+    translation changes only unbounded quantifiers, so a sentence without
+    one, such as the bare closed atom Def(1 + 1), is judged at each world as
+    written and can disagree with the limit at a world too small for it."""
     if sys.limit is None:
         raise EvalError("translation theorem requires a system with a limit structure")
     try:

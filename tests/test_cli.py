@@ -356,6 +356,18 @@ class TestReportContent:
         hits = json.loads(out)["results"][0]["counterexamples"]
         assert hits[0]["world"] == "empty"
 
+    def test_translation_theorem_violation_exits_one(self, tmp_path):
+        corpus = tmp_path / "sentences.fml"
+        corpus.write_text("Def(1 + 1)\n")
+        code, out = run([
+            "--format", "json", "translation-theorem", "--aristotelian", "3",
+            "--corpus", str(corpus),
+        ])
+        assert code == 1
+        assert json.loads(out)["results"][-1]["violations"] == [
+            "Def(1 + 1): limit says True, world 1 says False"
+        ]
+
     def test_text_format_mentions_command(self):
         _, out = run(["frame", "--fork"])
         assert "fa frame" in out

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module and imported
 there once, and no package module imports dataclasses.  Every name a
 package module defines at top level and every method of its top-level
-classes is read somewhere in the source tree, and no module or class body
-under src/ or tests/ binds a name twice.  RecursionError is caught only
+classes is read somewhere in the source tree, no function under src/ only
+raises NotImplementedError, and no module or class body under src/ or
+tests/ binds a name twice.  RecursionError is caught only
 where the package states its depth rule, the benchmark's entry points into
 the package resolve, and the benchmark's oracle imports nothing of the
 package."""
@@ -122,6 +123,43 @@ def test_scan_flags_a_repeated_definition():
         "LIMIT = 2\n"
     )
     assert repeated_definitions(source) == [(12, "f"), (15, "f"), (18, "LIMIT")]
+
+
+def stub_functions(source):
+    """(line, name) for each function whose body, after an optional
+    docstring, is only a raise of NotImplementedError."""
+    stubs = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        exc = body[0].exc if len(body) == 1 and isinstance(body[0], ast.Raise) else None
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        if isinstance(exc, ast.Name) and exc.id == "NotImplementedError":
+            stubs.append((node.lineno, node.name))
+    return sorted(stubs)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")), ids=lambda p: p.name)
+def test_no_stub_functions(path):
+    # A protocol is stated once, in its class docstring, not restated by
+    # methods that only raise.
+    assert stub_functions(path.read_text()) == []
+
+
+def test_scan_flags_a_stub_function():
+    source = (
+        "class P:\n"
+        "    def size(self):\n        raise NotImplementedError\n\n"
+        "    def less(self, a, b):\n        \"\"\"a < b.\"\"\"\n"
+        "        raise NotImplementedError(\"less\")\n\n"
+        "    def plus(self, a, b):\n        if a is None:\n"
+        "            raise NotImplementedError\n        return a + b\n\n"
+        "def doc():\n    \"\"\"Only a docstring.\"\"\"\n\n"
+        "def other():\n    raise ValueError\n"
+    )
+    assert stub_functions(source) == [(2, "size"), (5, "less")]
 
 
 def test_no_module_imports_dataclasses():

@@ -16,11 +16,11 @@ from finarith.corpus import load_packaged_formulas
 from finarith.errors import AdmissibilityError, DomainError, EvalError
 from finarith.interp import (
     _ROSTER_BUDGET, InstrumentedStructure, InterpretedModel, build_plus_model,
-    build_tower, check_bounded_induction, embed_initial, limit_eval,
+    Tower, build_tower, check_bounded_induction, embed_initial, limit_eval,
     minimal_admissible_width, verify_biinterpretation, verify_induction_lex,
 )
 from finarith.logic import Const0, Eq, Not, Possibly, Var, parse_formula
-from test_core import LoopingSuccessor
+from test_core import LoopingSuccessor, StepGap
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,12 @@ class TestDigitOperations:
     def test_string_rendering(self, lift100):
         assert lift100.element(345).as_string() == "00345"
         assert lift100.largest.as_string() == "99999"
+
+    def test_string_rendering_above_base_thirty_six(self):
+        # Base 37 has no digit letter left: each digit is written in decimal.
+        mp = build_plus_model(make_truncation(1400))
+        assert mp.base_value == 37
+        assert mp.element(1234).as_string() == "[0,0,0,33,13]"
 
     @pytest.mark.parametrize("answer", [None, 50])
     def test_a_digit_sum_the_ground_gets_wrong_is_a_domain_error(self, answer):
@@ -324,6 +330,7 @@ class TestBiinterpretation:
         ("plus", (2, 3), lambda mp: None, "plus not preserved at (2, 3)"),
         ("plus", (5, 9), lambda mp: mp.zero, "plus image not faithful at (5, 9)"),
         ("times", (3, 4), lambda mp: None, "times not preserved at (3, 4)"),
+        ("times", (4, 5), lambda mp: mp.element(3), "times image not faithful at (4, 5)"),
     ])
     def test_each_embedded_copy_failure_is_named(self, op, at, answer, message):
         mp = WrongAt(op, at, answer)
@@ -537,6 +544,30 @@ class TestBoundedInduction:
         tower = build_tower(make_truncation(12), 1)
         with pytest.raises(EvalError):
             check_bounded_induction(tower, [parse_formula("A x. E y. y = x + 1")])
+
+    def test_a_failing_induction_instance_is_reported(self):
+        # 1 + 1 is undefined in StepGap(8), so the step from 1 to 2 of
+        # !(1 < x) is vacuous there and 2 falsifies it.
+        report = check_bounded_induction(Tower([StepGap(8)], [8]), [parse_formula("!(1 < x)")])
+        assert not report.passed
+        assert report.induction == [(0, "!(1 < x)", False)]
+        assert report.failures == ["induction instance of !(1 < x) fails at stage 0"]
+
+    def test_a_sentence_bounded_by_n_changes_truth_with_the_stage(self):
+        # N is each stage's own top: 5 is not below 5 at stage 0, but is
+        # below 31 at stage 1.
+        text = "E x < N. x = 1 + 1 + 1 + 1 + 1"
+        report = check_bounded_induction(build_tower(make_truncation(5), 1), [parse_formula(text)])
+        assert not report.passed
+        assert report.absoluteness == [(0, text, False, True, True, False)]
+        assert report.failures == [f"{text} changes truth between stages 0 (False) and 1 (True)"]
+
+    def test_a_bound_undefined_at_a_stage_is_out_of_range(self):
+        # Ten is no element of stage 0, Truncation(5): the pair is not judged.
+        text = f"E x < {' + '.join(['1'] * 10)}. x = 1 + 1 + 1 + 1 + 1"
+        report = check_bounded_induction(build_tower(make_truncation(5), 1), [parse_formula(text)])
+        assert report.passed, report.failures
+        assert report.absoluteness == [(0, text, None, True, False, True)]
 
     # The lift of a ground whose 2 + 3 is undefined raises DomainError at
     # stage 1 on the sum of its digits 2 and 3.

@@ -177,6 +177,21 @@ class TestConstruction:
         assert ari30.resolve(9) == 9
         with pytest.raises(DomainError):
             ari30.resolve("31")
+        with pytest.raises(DomainError, match=r"^world index 7 out of range$"):
+            aristotelian_system(3).decide(7, parse_formula("0 = 0"))
+
+    @pytest.mark.parametrize("count, ids, message", [
+        (1, ["a", "b"], "one id per world required"),
+        (2, ["a", "a"], "world ids must be distinct"),
+    ], ids=["count", "distinct"])
+    def test_ids_name_each_world_once(self, count, ids, message):
+        worlds = [SubsetWorld({0}) for _ in range(count)]
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            PotentialistSystem(worlds, ids, [{i} for i in range(count)])
+
+    def test_a_world_outside_the_limit_is_refused(self):
+        with pytest.raises(ValueError, match=r"^world a is not included in the limit structure$"):
+            load_system([make_truncation(3)], ["a"], [(0, 0)], limit=make_truncation(2))
 
 
 class TestEvalModal:
@@ -616,6 +631,13 @@ class TestTranslationTheorem:
         report = check_translation_theorem(aristotelian_system(5), corpus)
         assert report.skipped == ["E x. x = N"]
         assert report.results == []
+
+    def test_a_closed_atom_is_judged_at_each_world_as_written(self):
+        # The translation leaves Def(1 + 1) as it is: world 1 has no 2.
+        report = check_translation_theorem(aristotelian_system(3), [parse_formula("Def(1 + 1)")])
+        assert not report.passed
+        assert report.results == [("Def(1 + 1)", True, {"1": False, "2": True, "3": True})]
+        assert report.violations == ["Def(1 + 1): limit says True, world 1 says False"]
 
     def test_requires_limit(self):
         with pytest.raises(EvalError):
